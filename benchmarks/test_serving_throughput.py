@@ -13,7 +13,7 @@ same way the ECC, dataset and ML benchmarks pin their batch engines —
   ``predict`` calls (the cache and request coalescing at work), with an
   absolute predictions-per-second floor.
 
-Both floors land in the benchmark artifact (``BENCH_10.json``).
+Both floors land in the benchmark artifact (``BENCH_12.json``).
 """
 
 import time

@@ -1,27 +1,16 @@
-"""Memory-hierarchy substrate: caches, memory controllers, trace simulation."""
+"""Memory-hierarchy substrate: access traces, cache geometry, trace simulation."""
 
-from repro.memsys.access import AccessType, MemoryAccess
-from repro.memsys.cache import (
-    CacheConfig,
-    CacheStats,
-    SetAssociativeCache,
-    xgene2_l1_config,
-    xgene2_l2_config,
-)
+from repro.memsys.access import AccessTrace, AccessType, MemoryAccess
+from repro.memsys.cache import CacheConfig, xgene2_l1_config, xgene2_l2_config
 from repro.memsys.hierarchy import HierarchyStats, MemoryHierarchy
-from repro.memsys.mcu import MemoryChannelSystem, MemoryControllerUnit, McuStats
 
 __all__ = [
+    "AccessTrace",
     "AccessType",
     "MemoryAccess",
     "CacheConfig",
-    "CacheStats",
-    "SetAssociativeCache",
     "xgene2_l1_config",
     "xgene2_l2_config",
     "HierarchyStats",
     "MemoryHierarchy",
-    "MemoryChannelSystem",
-    "MemoryControllerUnit",
-    "McuStats",
 ]

@@ -1,38 +1,16 @@
-"""Set-associative cache model with LRU replacement.
+"""Set-associative cache geometry.
 
-Used to derive the cache-related program features (L1/L2 accesses and
-misses per cycle) and to decide which accesses actually reach DRAM.
+:class:`~repro.memsys.hierarchy.MemoryHierarchy` simulates true-LRU
+caches of these shapes to derive the cache-related program features
+(L1/L2 accesses and misses per cycle) and to decide which accesses
+actually reach DRAM.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.errors import ConfigurationError
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one cache level."""
-
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    writebacks: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
 
 
 @dataclass
@@ -55,60 +33,6 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         return self.size_bytes // (self.associativity * self.line_bytes)
-
-
-class SetAssociativeCache:
-    """A single cache level with true-LRU replacement.
-
-    ``access`` returns True on a hit.  Dirty evictions are counted as
-    writebacks (they become DRAM write traffic in the hierarchy model).
-    """
-
-    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
-        self.config = config
-        self.name = name
-        self.stats = CacheStats()
-        # One LRU-ordered dict per set: line_tag -> dirty flag.
-        self._sets: Dict[int, OrderedDict] = {}
-
-    def _locate(self, address: int):
-        line = address // self.config.line_bytes
-        set_index = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        return set_index, tag
-
-    def access(self, address: int, is_write: bool = False) -> bool:
-        """Perform one access; returns True on hit, False on miss."""
-        if address < 0:
-            raise ConfigurationError("address must be non-negative")
-        set_index, tag = self._locate(address)
-        cache_set = self._sets.setdefault(set_index, OrderedDict())
-        self.stats.accesses += 1
-
-        if tag in cache_set:
-            self.stats.hits += 1
-            cache_set.move_to_end(tag)
-            if is_write and self.config.write_back:
-                cache_set[tag] = True
-            return True
-
-        self.stats.misses += 1
-        if len(cache_set) >= self.config.associativity:
-            _victim_tag, victim_dirty = cache_set.popitem(last=False)
-            if victim_dirty:
-                self.stats.writebacks += 1
-        cache_set[tag] = bool(is_write and self.config.write_back)
-        return False
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
-    def flush(self) -> int:
-        """Drop every line; returns the number of dirty lines written back."""
-        dirty = sum(1 for s in self._sets.values() for d in s.values() if d)
-        self.stats.writebacks += dirty
-        self._sets.clear()
-        return dirty
 
 
 def xgene2_l1_config() -> CacheConfig:

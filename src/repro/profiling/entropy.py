@@ -9,13 +9,12 @@ of bits of the sampled value space.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable
+from typing import Iterable, Union
 
 import numpy as np
 
 from repro.errors import DataError
-from repro.memsys.access import MemoryAccess
+from repro.memsys.access import AccessTrace, MemoryAccess
 
 
 def shannon_entropy_bits(counts: Iterable[int]) -> float:
@@ -39,31 +38,24 @@ class DataEntropyEstimator:
         self.value_bits = value_bits
         self.max_samples = max_samples
 
-    def _truncate(self, value: int) -> int:
-        # Sample the *most significant* bits of the stored 64-bit word: for
-        # IEEE-754 doubles these carry the sign/exponent/high mantissa, so
-        # distinct small integers map to distinct samples while a solid
-        # pattern still collapses to a single value.
-        return (value >> (64 - self.value_bits)) & ((1 << self.value_bits) - 1)
-
-    def estimate(self, trace: Iterable[MemoryAccess]) -> float:
-        """``HDP`` in bits over the write accesses of a trace.
+    def estimate(self, trace: Union[AccessTrace, Iterable[MemoryAccess]]) -> float:
+        """``HDP`` in bits over the first ``max_samples`` writes of a trace.
 
         Returns 0.0 when the trace contains no writes (a read-only phase
         stores no new data pattern).
         """
-        counter: Counter = Counter()
-        samples = 0
-        for access in trace:
-            if not access.is_write:
-                continue
-            counter[self._truncate(access.value)] += 1
-            samples += 1
-            if samples >= self.max_samples:
-                break
-        if samples == 0:
+        trace = AccessTrace.coerce(trace)
+        written = trace.value[trace.is_write][: self.max_samples]
+        if written.size == 0:
             return 0.0
-        return shannon_entropy_bits(counter.values())
+        # Sample the *most significant* bits of the stored 64-bit word: for
+        # IEEE-754 doubles these carry the sign/exponent/high mantissa, so
+        # distinct small integers map to distinct samples while a solid
+        # pattern still collapses to a single value.
+        samples = written >> np.uint64(64 - self.value_bits)
+        _, first_seen, counts = np.unique(samples, return_index=True, return_counts=True)
+        # Counts in first-seen order, so the entropy sums in trace order.
+        return shannon_entropy_bits(counts[np.argsort(first_seen)])
 
     @property
     def max_entropy_bits(self) -> float:

@@ -9,8 +9,9 @@ cache-hierarchy simulation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro import units
 from repro.dram.geometry import DramGeometry
@@ -25,7 +26,8 @@ from repro.profiling.counters import (
 )
 from repro.profiling.entropy import DataEntropyEstimator
 from repro.profiling.profile import WorkloadProfile
-from repro.profiling.reuse import ReuseTimeEstimator, reuse_statistics
+from repro.profiling.reuse import ReuseStatistics, ReuseTimeEstimator, reuse_statistics
+from repro.telemetry import get_telemetry
 from repro.workloads.base import TraceRecorder, Workload
 
 
@@ -83,11 +85,26 @@ class WorkloadProfiler:
 
     # ------------------------------------------------------------------
     def profile(self, workload: Workload) -> WorkloadProfile:
-        """Produce the full 249-feature profile of a workload."""
-        recorder = workload.record_trace()
-        hierarchy = self._build_hierarchy(workload.threads)
-        stats = hierarchy.simulate(recorder.accesses)
-        return self._assemble_profile(workload, recorder, stats)
+        """Produce the full 249-feature profile of a workload.
+
+        Spanned as ``profiling.profile`` with one child per stage, so a
+        run report shows where profiling time goes.
+        """
+        telemetry = get_telemetry()
+        with telemetry.span("profiling.profile"):
+            with telemetry.span("workloads.record_trace"):
+                recorder = workload.record_trace()
+                trace = recorder.accesses
+            with telemetry.span("memsys.simulate"):
+                stats = self._build_hierarchy(workload.threads).simulate(trace)
+            with telemetry.span("profiling.reuse"):
+                reuse_stats = reuse_statistics(trace)
+            with telemetry.span("profiling.entropy"):
+                hdp = self._entropy_estimator.estimate(trace)
+            if telemetry.enabled:
+                telemetry.incr("profiling.accesses", recorder.num_accesses)
+                telemetry.incr("memsys.dram_accesses", stats.dram_accesses)
+            return self._assemble_profile(workload, recorder, stats, reuse_stats, hdp)
 
     # ------------------------------------------------------------------
     def _build_hierarchy(self, threads: int) -> MemoryHierarchy:
@@ -115,17 +132,16 @@ class WorkloadProfiler:
         return wall_cycles, core_cycles, stall_cycles
 
     def _assemble_profile(
-        self, workload: Workload, recorder: TraceRecorder, stats: HierarchyStats
+        self, workload: Workload, recorder: TraceRecorder, stats: HierarchyStats,
+        reuse_stats: ReuseStatistics, hdp: float,
     ) -> WorkloadProfile:
         threads = workload.threads
         instructions = recorder.instruction_count
         wall_cycles, core_cycles, stall_cycles = self._cycles(recorder, stats, threads)
         cpi_wall = wall_cycles / instructions
-        reuse_stats = reuse_statistics(recorder.accesses)
 
         footprint_scale = workload.nominal_footprint_bytes / max(recorder.allocated_bytes, 1)
         treuse = self._reuse_estimator.estimate(reuse_stats, cpi_wall, footprint_scale)
-        hdp = self._entropy_estimator.estimate(recorder.accesses)
 
         features: Dict[str, float] = {
             "treuse": treuse,
@@ -196,19 +212,33 @@ class WorkloadProfiler:
 # ---------------------------------------------------------------------------
 # Profile cache: profiling is deterministic, so every caller shares results.
 # ---------------------------------------------------------------------------
-_PROFILE_CACHE: Dict[str, WorkloadProfile] = {}
+#: (registry name, seed, threads, nominal footprint) of the created workload.
+ProfileKey = Tuple[str, int, int, int]
+
+_PROFILE_CACHE: Dict[ProfileKey, WorkloadProfile] = {}
+#: Held across lookup, profiling and insert: concurrent callers asking for
+#: the same workload profile it once and all get the same object.
+_PROFILE_LOCK = threading.Lock()
 
 
 def profile_workload(name: str, profiler: Optional[WorkloadProfiler] = None) -> WorkloadProfile:
-    """Profile a registered workload by name, with caching."""
+    """Profile a registered workload by name, with caching.
+
+    The cache key is everything that determines the created workload's
+    profile under the default profiler: its name, seed, thread count and
+    nominal footprint.  A custom ``profiler`` bypasses the cache.
+    """
     from repro.workloads.registry import create_workload
 
-    if name in _PROFILE_CACHE and profiler is None:
-        return _PROFILE_CACHE[name]
-    active_profiler = profiler or WorkloadProfiler()
-    profile = active_profiler.profile(create_workload(name))
-    if profiler is None:
-        _PROFILE_CACHE[name] = profile
+    workload = create_workload(name)
+    if profiler is not None:
+        return profiler.profile(workload)
+    key = (name, workload.seed, workload.threads, workload.nominal_footprint_bytes)
+    with _PROFILE_LOCK:
+        profile = _PROFILE_CACHE.get(key)
+        if profile is None:
+            profile = WorkloadProfiler().profile(workload)
+            _PROFILE_CACHE[key] = profile
     return profile
 
 
@@ -221,4 +251,5 @@ def profile_campaign_workloads() -> Dict[str, WorkloadProfile]:
 
 def clear_profile_cache() -> None:
     """Drop cached profiles (used by tests that tweak profiler settings)."""
-    _PROFILE_CACHE.clear()
+    with _PROFILE_LOCK:
+        _PROFILE_CACHE.clear()

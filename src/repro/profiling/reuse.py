@@ -14,11 +14,13 @@ with the data set for these workloads).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Iterable, Union
+
+import numpy as np
 
 from repro import units
 from repro.errors import DataError
-from repro.memsys.access import MemoryAccess
+from repro.memsys.access import AccessTrace, MemoryAccess
 
 
 @dataclass(frozen=True)
@@ -37,27 +39,29 @@ class ReuseStatistics:
         return self.total_accesses / self.unique_words
 
 
-def reuse_statistics(trace: Iterable[MemoryAccess]) -> ReuseStatistics:
-    """Word-granularity reuse distances of an access trace."""
-    last_seen: Dict[int, int] = {}
-    total_distance = 0.0
-    reused = 0
-    total = 0
-    for access in trace:
-        total += 1
-        word = access.word_address
-        previous = last_seen.get(word)
-        if previous is not None:
-            total_distance += access.instruction_index - previous
-            reused += 1
-        last_seen[word] = access.instruction_index
+def reuse_statistics(trace: Union[AccessTrace, Iterable[MemoryAccess]]) -> ReuseStatistics:
+    """Word-granularity reuse distances of an access trace.
+
+    A stable sort by word puts every access right after the previous
+    access to the same word, so one ``diff`` pass yields every reuse
+    distance.  The distances are integers, so their sum is exact in any
+    order.
+    """
+    trace = AccessTrace.coerce(trace)
+    total = len(trace)
     if total == 0:
         raise DataError("cannot compute reuse statistics of an empty trace")
+    words = trace.word_address
+    order = np.argsort(words, kind="stable")
+    words = words[order]
+    reuses = words[1:] == words[:-1]
+    reused = int(np.count_nonzero(reuses))
+    total_distance = int(np.diff(trace.instruction_index[order])[reuses].sum())
     mean_distance = total_distance / reused if reused else float(total)
     return ReuseStatistics(
         mean_reuse_distance_instructions=mean_distance,
         reused_access_fraction=reused / total,
-        unique_words=len(last_seen),
+        unique_words=total - reused,
         total_accesses=total,
     )
 
@@ -97,7 +101,7 @@ class ReuseTimeEstimator:
 
     def estimate_from_trace(
         self,
-        trace: Iterable[MemoryAccess],
+        trace: Union[AccessTrace, Iterable[MemoryAccess]],
         cycles_per_instruction: float,
         footprint_scale: float = 1.0,
     ) -> float:

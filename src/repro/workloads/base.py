@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from typing import List
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro import units
 from repro.errors import WorkloadError
-from repro.memsys.access import AccessType, MemoryAccess
+from repro.memsys.access import AccessTrace
 
 
 def float_to_word(value: float) -> int:
@@ -38,7 +39,12 @@ class InstrumentedArray:
     """A heap allocation whose every element access is recorded.
 
     Elements are 64-bit words (one float or integer each), matching the
-    ECC protection granularity used for the WER metric.
+    ECC protection granularity used for the WER metric.  They live in an
+    ``array('d')``, and each access appends one entry to the recorder's
+    typed columns — no per-access objects are built.  ``read``/``write``
+    append inline rather than through a recorder method: this is the
+    innermost loop of every workload, so each access pays for no extra
+    Python call.
     """
 
     def __init__(self, recorder: "TraceRecorder", base_address: int, length: int,
@@ -49,54 +55,74 @@ class InstrumentedArray:
         self.base_address = base_address
         self.length = length
         self.name = name
-        self._data = np.zeros(length, dtype=float)
+        self._data = array("d", bytes(length * units.WORD_BYTES))
 
     def __len__(self) -> int:
         return self.length
 
-    def _address(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise WorkloadError(
-                f"index {index} out of bounds for array {self.name!r} of length {self.length}"
-            )
-        return self.base_address + index * units.WORD_BYTES
+    def _out_of_bounds(self, index: int) -> WorkloadError:
+        return WorkloadError(
+            f"index {index} out of bounds for array {self.name!r} of length {self.length}"
+        )
 
     def read(self, index: int, thread_id: int = 0) -> float:
         """Load one element, recording the access."""
-        address = self._address(index)
-        value = float(self._data[index])
-        self._recorder.record_access(address, AccessType.READ, float_to_word(value), thread_id)
+        if not 0 <= index < self.length:
+            raise self._out_of_bounds(index)
+        value = self._data[index]
+        recorder = self._recorder
+        recorder.instruction_count += 1
+        recorder._addresses.append(self.base_address + index * units.WORD_BYTES)
+        recorder._is_write.append(0)
+        recorder._instruction_index.append(recorder.instruction_count)
+        recorder._values.append(value)
+        recorder._thread_ids.append(thread_id)
         return value
 
     def write(self, index: int, value: float, thread_id: int = 0) -> None:
         """Store one element, recording the access and the written data."""
-        address = self._address(index)
-        self._data[index] = float(value)
-        self._recorder.record_access(
-            address, AccessType.WRITE, float_to_word(float(value)), thread_id
-        )
+        if not 0 <= index < self.length:
+            raise self._out_of_bounds(index)
+        value = float(value)
+        self._data[index] = value
+        recorder = self._recorder
+        recorder.instruction_count += 1
+        recorder._addresses.append(self.base_address + index * units.WORD_BYTES)
+        recorder._is_write.append(1)
+        recorder._instruction_index.append(recorder.instruction_count)
+        recorder._values.append(value)
+        recorder._thread_ids.append(thread_id)
 
     def raw(self) -> np.ndarray:
-        """Un-instrumented view of the data (for result verification only)."""
-        return self._data
+        """Un-instrumented zero-copy view of the data (for result verification only)."""
+        return np.frombuffer(self._data, dtype=np.float64)
 
 
 class TraceRecorder:
-    """Collects the dynamic memory-access trace and instruction count."""
+    """Collects the dynamic memory-access trace and instruction count.
+
+    Accesses are appended to typed column buffers (address, is_write,
+    instruction index, value, thread); :attr:`accesses` turns them into
+    an :class:`AccessTrace`.
+    """
 
     #: virtual base address of the instrumented heap
     HEAP_BASE = 0x1000_0000
 
     def __init__(self) -> None:
-        self.accesses: List[MemoryAccess] = []
         self.instruction_count = 0
         self.allocated_bytes = 0
         self._next_address = self.HEAP_BASE
+        self._addresses = array("q")
+        self._is_write = array("b")
+        self._instruction_index = array("q")
+        self._values = array("d")
+        self._thread_ids = array("q")
 
     # -- allocation ---------------------------------------------------------
     def alloc(self, num_words: int, name: str = "") -> InstrumentedArray:
         """Allocate an instrumented array of ``num_words`` 64-bit words."""
-        array = InstrumentedArray(self, self._next_address, num_words, name=name)
+        allocation = InstrumentedArray(self, self._next_address, num_words, name=name)
         size = num_words * units.WORD_BYTES
         self._next_address += size
         # Keep allocations page-aligned like a real allocator would.
@@ -104,22 +130,9 @@ class TraceRecorder:
         if remainder:
             self._next_address += 4096 - remainder
         self.allocated_bytes += size
-        return array
+        return allocation
 
     # -- event recording ------------------------------------------------------
-    def record_access(self, address: int, access_type: AccessType, value: int,
-                      thread_id: int = 0) -> None:
-        self.instruction_count += 1
-        self.accesses.append(
-            MemoryAccess(
-                address=address,
-                access_type=access_type,
-                instruction_index=self.instruction_count,
-                value=value,
-                thread_id=thread_id,
-            )
-        )
-
     def compute(self, instructions: int = 1) -> None:
         """Account non-memory (ALU/branch) instructions."""
         if instructions < 0:
@@ -128,8 +141,23 @@ class TraceRecorder:
 
     # -- summary ------------------------------------------------------------
     @property
+    def accesses(self) -> AccessTrace:
+        """Every access recorded so far, as a frozen columnar copy.
+
+        The recorded floats become their raw 64-bit words here, in one
+        ``float64 -> uint64`` view of the whole value column.
+        """
+        return AccessTrace(
+            address=np.frombuffer(self._addresses, dtype=np.int64),
+            is_write=np.frombuffer(self._is_write, dtype=np.int8),
+            instruction_index=np.frombuffer(self._instruction_index, dtype=np.int64),
+            value=np.frombuffer(self._values, dtype=np.float64).view(np.uint64),
+            thread_id=np.frombuffer(self._thread_ids, dtype=np.int64),
+        )
+
+    @property
     def num_accesses(self) -> int:
-        return len(self.accesses)
+        return len(self._addresses)
 
     @property
     def memory_instruction_fraction(self) -> float:

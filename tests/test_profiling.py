@@ -1,6 +1,8 @@
 """Tests for the profiling substrate: reuse time, entropy, counters, profiler."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -15,9 +17,12 @@ from repro.profiling.counters import (
     tail_feature_names,
 )
 from repro.profiling.entropy import DataEntropyEstimator, shannon_entropy_bits
-from repro.profiling.profiler import WorkloadProfiler, profile_workload
+from repro.profiling import profiler as profiler_module
+from repro.profiling.profiler import WorkloadProfiler, clear_profile_cache, profile_workload
 from repro.profiling.reuse import ReuseTimeEstimator, reuse_statistics
 from repro.workloads.base import float_to_word
+from repro.workloads import registry
+from repro.workloads.analytics import BfsWorkload
 from repro.workloads.compute import BackpropWorkload
 
 
@@ -189,3 +194,65 @@ class TestWorkloadProfiler:
     def test_unknown_feature_rejected(self, backprop_profile):
         with pytest.raises(DataError):
             backprop_profile.feature("bogus_counter")
+
+
+class TestProfileCache:
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        """A fresh cache for the test; the session's cache comes back after."""
+        cache = {}
+        monkeypatch.setattr(profiler_module, "_PROFILE_CACHE", cache)
+        return cache
+
+    @pytest.fixture
+    def profile_calls(self, monkeypatch):
+        calls = []
+        original = WorkloadProfiler.profile
+
+        def counting(self, workload):
+            calls.append(workload.display_name)
+            return original(self, workload)
+
+        monkeypatch.setattr(WorkloadProfiler, "profile", counting)
+        return calls
+
+    def test_concurrent_callers_profile_once(self, empty_cache, profile_calls):
+        num_threads = 8
+        barrier = threading.Barrier(num_threads)
+        results = [None] * num_threads
+
+        def worker(slot):
+            barrier.wait()
+            results[slot] = profile_workload("bfs")
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(num_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert profile_calls == ["bfs"]
+        assert all(result is results[0] for result in results)
+        assert len(empty_cache) == 1
+
+    def test_key_covers_the_created_workload(self, empty_cache, profile_calls, monkeypatch):
+        default = profile_workload("bfs")
+        seed = registry.create_workload("bfs").seed + 1
+        monkeypatch.setitem(registry.ALL_WORKLOADS, "bfs", lambda: BfsWorkload(seed=seed))
+        reseeded = profile_workload("bfs")
+        assert reseeded is not default
+        assert profile_workload("bfs") is reseeded
+        assert profile_calls == ["bfs", "bfs"]
+        assert sorted(key[1] for key in empty_cache) == [seed - 1, seed]
+
+    def test_clear_empties_the_cache(self, empty_cache, profile_calls):
+        first = profile_workload("bfs")
+        clear_profile_cache()
+        assert not empty_cache
+        assert profile_workload("bfs") is not first
+        assert profile_calls == ["bfs", "bfs"]

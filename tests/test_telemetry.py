@@ -264,6 +264,52 @@ class TestRunReport:
         assert loaded["spans"][0]["name"] == "campaign.run"
 
 
+class TestProfilingTelemetry:
+    STAGES = ("workloads.record_trace", "memsys.simulate", "profiling.reuse",
+              "profiling.entropy")
+
+    def test_profile_spans_each_stage_and_counts_accesses(self):
+        from repro.memsys.hierarchy import MemoryHierarchy
+        from repro.profiling.profiler import WorkloadProfiler, scaled_profiling_cache_configs
+        from repro.workloads.registry import create_workload
+
+        workload = create_workload("bfs")
+        with telemetry_session() as tel:
+            WorkloadProfiler().profile(workload)
+        snap = tel.snapshot()
+        assert snap.span_counts() == {
+            "profiling.profile": 1,
+            **{f"profiling.profile/{stage}": 1 for stage in self.STAGES},
+        }
+        recorder = workload.record_trace()
+        configs = scaled_profiling_cache_configs()
+        stats = MemoryHierarchy(
+            l1_config=configs["l1"], l2_config=configs["l2"], num_threads=workload.threads,
+        ).simulate(recorder.accesses)
+        assert snap.counters == {
+            "profiling.accesses": recorder.num_accesses,
+            "memsys.dram_accesses": stats.dram_accesses,
+        }
+
+    def test_cold_campaign_shows_profiling_under_its_workload(self, monkeypatch):
+        from repro.characterization.campaign import (
+            CampaignConfig, CharacterizationCampaign,
+        )
+        from repro.profiling import profiler as profiler_module
+
+        monkeypatch.setattr(profiler_module, "_PROFILE_CACHE", {})
+        config = CampaignConfig(
+            workloads=("bfs",), trefp_values_s=(2.283,),
+            temperatures_c=(50.0,), ue_trefp_values_s=(), ue_repetitions=0,
+        )
+        with telemetry_session() as tel:
+            CharacterizationCampaign(config=config, seed=3).run(include_ue_study=False)
+        counts = tel.snapshot().span_counts()
+        parent = "campaign.run/campaign.wer_sweep/workload:bfs/profiling.profile"
+        assert counts[parent] == 1
+        assert all(counts[f"{parent}/{stage}"] == 1 for stage in self.STAGES)
+
+
 class TestLoggingHierarchy:
     def test_root_logger_has_null_handler(self):
         import repro  # noqa: F401 — installs the handler on import
