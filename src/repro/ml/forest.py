@@ -1,22 +1,31 @@
 """Random Decision Forest regression (RDF in the paper).
 
-``fit`` still grows one CART tree per bootstrap resample, but the fitted
-ensemble is additionally stored as one set of concatenated flat-tree
-columns (per-tree node arrays from :mod:`repro.ml.tree` with child
-indices shifted by each tree's node offset), so ``predict`` traverses
-every (tree, row) pair level-synchronously in a single numpy state
-vector instead of looping trees in Python.
+The fitted ensemble is stored once, as one set of concatenated flat-tree
+columns: each tree's breadth-first node arrays (see :mod:`repro.ml.tree`)
+in tree order, child ids absolute, ``_roots_`` holding each tree's root
+id.  ``fit`` draws every tree's seed and bootstrap resample from the
+forest RNG first (seed, then resample, tree by tree), then grows all
+trees in lockstep with one :func:`~repro.ml.tree.grow_trees` call; each
+tree's feature-subset draws follow its own preorder.  ``predict``
+traverses every (tree, row) pair level-synchronously in a single numpy
+state vector instead of looping trees in Python.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
-from repro.ml.tree import DecisionTreeRegressor, flat_tree_predict
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    MaxFeatures,
+    check_growth_params,
+    flat_tree_predict,
+    grow_trees,
+)
 
 
 class RandomForestRegressor(Regressor):
@@ -34,12 +43,13 @@ class RandomForestRegressor(Regressor):
         max_depth: Optional[int] = None,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features: Union[str, int, float, None] = "sqrt",
+        max_features: MaxFeatures = "sqrt",
         bootstrap: bool = True,
         random_state: Optional[int] = None,
     ) -> None:
         if n_estimators < 1:
             raise ConfigurationError("n_estimators must be >= 1")
+        check_growth_params(min_samples_split, min_samples_leaf, max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -52,46 +62,61 @@ class RandomForestRegressor(Regressor):
         X_arr, y_arr = validate_fit_args(X, y)
         rng = np.random.default_rng(self.random_state)
         n_samples = X_arr.shape[0]
-        self.estimators_ = []
-        self.n_features_ = X_arr.shape[1]
-
+        seeds = []
+        samples = []
         for _ in range(self.n_estimators):
+            seeds.append(int(rng.integers(0, 2 ** 31 - 1)))
+            if self.bootstrap:
+                samples.append(rng.integers(0, n_samples, size=n_samples))
+            else:
+                samples.append(np.arange(n_samples))
+        self.n_features_ = X_arr.shape[1]
+        (
+            self._roots_,
+            self._feature_,
+            self._threshold_,
+            self._left_,
+            self._right_,
+            self._value_,
+        ) = grow_trees(
+            X_arr, y_arr, samples, seeds,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+        )
+        return self
+
+    @property
+    def estimators_(self) -> List[DecisionTreeRegressor]:
+        """Per-tree views of the fitted ensemble, as fitted trees.
+
+        Built on each access from the concatenated arrays (child ids made
+        tree-local again), so a registry-restored forest has them too.
+        Their ``random_state`` is ``None``: the per-tree seeds are drawn
+        inside ``fit`` and not kept.
+        """
+        self._check_fitted("_roots_")
+        ends = np.append(self._roots_[1:], self._feature_.shape[0])
+        trees = []
+        for start, end in zip(self._roots_.tolist(), ends.tolist()):
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                random_state=int(rng.integers(0, 2 ** 31 - 1)),
             )
-            if self.bootstrap:
-                indices = rng.integers(0, n_samples, size=n_samples)
-            else:
-                indices = np.arange(n_samples)
-            tree.fit(X_arr[indices], y_arr[indices])
-            self.estimators_.append(tree)
-        self._flatten_ensemble()
-        return self
-
-    def _flatten_ensemble(self) -> None:
-        """Concatenate per-tree flat arrays; child ids become absolute."""
-        node_counts = np.array([t.feature_.shape[0] for t in self.estimators_])
-        self._roots_ = np.concatenate(([0], np.cumsum(node_counts)[:-1]))
-        offsets = np.repeat(self._roots_, node_counts)
-        self._feature_ = np.concatenate([t.feature_ for t in self.estimators_])
-        self._threshold_ = np.concatenate([t.threshold_ for t in self.estimators_])
-        self._value_ = np.concatenate([t.value_ for t in self.estimators_])
-        left = np.concatenate([t.children_left_ for t in self.estimators_])
-        right = np.concatenate([t.children_right_ for t in self.estimators_])
-        # Leaves keep their -1 sentinel children (never dereferenced).
-        internal = self._feature_ >= 0
-        self._left_ = np.where(internal, left + offsets, -1)
-        self._right_ = np.where(internal, right + offsets, -1)
+            internal = self._feature_[start:end] >= 0
+            tree.n_features_ = self.n_features_
+            tree.feature_ = self._feature_[start:end]
+            tree.threshold_ = self._threshold_[start:end]
+            tree.children_left_ = np.where(internal, self._left_[start:end] - start, -1)
+            tree.children_right_ = np.where(internal, self._right_[start:end] - start, -1)
+            tree.value_ = self._value_[start:end]
+            trees.append(tree)
+        return trees
 
     def predict(self, X: ArrayLike) -> np.ndarray:
-        # Prediction needs only the concatenated flat arrays, so a forest
-        # restored from the serving model registry (which persists the
-        # flat ensemble but not the per-tree _Node structures) predicts
-        # identically.
         self._check_fitted("_roots_")
         X_arr = as_2d_array(X, allow_empty=True)
         n_rows = X_arr.shape[0]

@@ -5,82 +5,89 @@ The trees are the building block of the Random Decision Forest model
 the implementation supports feature sub-sampling at every split so the
 forest can decorrelate its members.
 
-Fitted trees are stored twice: as the linked :class:`_Node` structure
-the recursive builder produces (kept as the per-row prediction oracle,
-see :mod:`repro.ml.reference`) and as a **flattened columnar layout** —
-parallel ``feature_``/``threshold_``/``children_left_``/
-``children_right_``/``value_`` arrays indexed by node id, root at 0,
-children appended in breadth-first order, ``feature_ == -1`` marking
-leaves.  ``predict`` traverses the flat arrays level-synchronously: all
-query rows step one tree level per numpy operation instead of one
-Python node-walk per row, and :class:`~repro.ml.forest.
-RandomForestRegressor` concatenates the per-tree arrays (child indices
-shifted by node offsets) to batch the whole ensemble the same way.
+A fitted tree is stored once, as a **flat columnar layout**: parallel
+``feature_``/``threshold_``/``children_left_``/``children_right_``/
+``value_`` arrays indexed by node id, root at 0, children appended in
+breadth-first order, ``feature_ == -1`` marking leaves.
+
+:func:`grow_trees` builds that layout directly, for one tree or for a
+whole forest at once.  Every tree keeps an explicit stack (right child
+pushed before left), and each step pops the next node of every tree,
+so each tree visits its nodes in preorder — the order of the classic
+recursive builder — and draws its per-split feature subsets from its
+own RNG in exactly that order.  The split search of a step then runs
+for all popped nodes together as one padded (node x feature x row)
+pass.  ``predict`` traverses the flat arrays level-synchronously: all
+query rows step one tree level per numpy operation, and
+:class:`~repro.ml.forest.RandomForestRegressor` batches its whole
+ensemble the same way over the concatenated per-tree arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import numbers
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
 
+MaxFeatures = Union[str, int, float, None]
 
-@dataclass
-class _Node:
-    """A single node of a regression tree."""
+#: ``(roots, feature, threshold, left, right, value)`` of a grown
+#: ensemble: each tree's breadth-first node arrays concatenated in tree
+#: order, ``roots[t]`` the node id of tree ``t``'s root and child ids
+#: absolute (``-1`` at leaves).
+FlatForest = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    prediction: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
+#: Upper bound on the (node x feature x row) cells of one padded split
+#: search; a step with more pending work is searched in several chunks.
+SPLIT_SEARCH_CELLS = 1 << 20
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+#: A split must reduce the weighted child variance by more than this.
+MIN_GAIN = 1e-12
 
 
-def _flatten_tree(root: _Node) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Breadth-first columnar layout of a fitted tree.
-
-    Returns ``(feature, threshold, left, right, value)`` arrays indexed
-    by node id; the root is node 0 and ``feature == -1`` marks leaves
-    (their ``left``/``right`` entries are ``-1`` and never dereferenced).
-    """
-    nodes = [root]
-    feature = []
-    threshold = []
-    left = []
-    right = []
-    value = []
-    cursor = 0
-    while cursor < len(nodes):
-        node = nodes[cursor]
-        cursor += 1
-        value.append(node.prediction)
-        if node.is_leaf:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-        else:
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(len(nodes))
-            nodes.append(node.left)
-            right.append(len(nodes))
-            nodes.append(node.right)
-    return (
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=np.float64),
+def check_growth_params(
+    min_samples_split: int, min_samples_leaf: int, max_features: MaxFeatures
+) -> None:
+    """Raise :class:`ConfigurationError` for parameters no tree can grow with."""
+    if min_samples_split < 2:
+        raise ConfigurationError("min_samples_split must be >= 2")
+    if min_samples_leaf < 1:
+        raise ConfigurationError("min_samples_leaf must be >= 1")
+    if max_features is None:
+        return
+    if isinstance(max_features, str):
+        if max_features in ("sqrt", "log2"):
+            return
+    elif isinstance(max_features, bool):
+        pass
+    elif isinstance(max_features, numbers.Integral):
+        if max_features >= 1:
+            return
+    elif isinstance(max_features, numbers.Real) and 0.0 < max_features <= 1.0:
+        return
+    raise ConfigurationError(
+        f"max_features must be None, 'sqrt', 'log2', an int >= 1 or a float "
+        f"in (0, 1]; got {max_features!r}"
     )
+
+
+def n_split_features(max_features: MaxFeatures, n_features: int) -> int:
+    """How many features each split considers."""
+    if max_features is None:
+        return n_features
+    if isinstance(max_features, str):
+        if max_features == "sqrt":
+            return max(1, int(np.sqrt(n_features)))
+        if max_features == "log2":
+            return max(1, int(np.log2(n_features)))
+        raise ConfigurationError(f"Unknown max_features {max_features!r}")
+    if isinstance(max_features, numbers.Integral):
+        return max(1, min(int(max_features), n_features))
+    return max(1, int(max_features * n_features))
 
 
 def flat_tree_predict(
@@ -118,64 +125,282 @@ def flat_tree_predict(
     return value[state]
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_indices: np.ndarray,
+class _Pending:
+    """A node whose split search runs in the current lockstep step."""
+
+    __slots__ = (
+        "record", "tree", "rows", "depth", "features", "total_sum", "total_sq", "impurity",
+    )
+
+    def __init__(self, record, tree, rows, depth, features, total_sum, total_sq, impurity):
+        self.record = record
+        self.tree = tree
+        self.rows = rows
+        self.depth = depth
+        self.features = features
+        self.total_sum = total_sum
+        self.total_sq = total_sq
+        self.impurity = impurity
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Per-feature dense value ranks, shape ``(n_features, n_rows + 1)``.
+
+    Equal values share a rank and ranks grow with the value, so ranks
+    order and compare exactly as the values do.  The extra last column
+    ranks above every value: it belongs to the filler row that pads
+    short nodes in :func:`_search_splits`.
+    """
+    n_rows, n_features = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    sorted_values = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros((n_rows, n_features), dtype=np.int64)
+    steps[1:] = sorted_values[1:] > sorted_values[:-1]
+    ranks = np.empty((n_features, n_rows + 1), dtype=np.int64)
+    np.put_along_axis(ranks[:, :n_rows].T, order, np.cumsum(steps, axis=0), axis=0)
+    ranks[:, n_rows] = n_rows
+    return ranks
+
+
+def _search_splits(
+    X_pad: np.ndarray,
+    y_pad: np.ndarray,
+    ranks: np.ndarray,
+    nodes: List[_Pending],
     min_samples_leaf: int,
 ):
-    """Find the (feature, threshold) split minimising weighted child variance.
+    """Best variance-reducing split of every node, in one padded pass.
 
-    Returns ``(feature, threshold, gain)`` or ``None`` when no valid split
-    exists.  Uses cumulative-sum statistics over the sorted column so each
-    feature is scanned in O(n log n).
+    Each node's rows fill one row of a ``(node, row)`` grid, short nodes
+    padded with the filler row (last of ``X_pad``/``y_pad``/``ranks``,
+    target ``0``) that sorts after every real value and never forms a
+    valid split.  Per (node, feature) the scan is the classic one: a
+    stable sort by value, prefix sums of the target, and the weighted
+    child variance at every boundary between distinct values.  The
+    stable sort is one integer sort of ``(value rank, row slot)`` keys,
+    which orders exactly as a stable sort of the values does.
+    ``argmax`` over the flattened (feature, position) axis picks the
+    first maximum, as a feature-by-feature scan keeping only strictly
+    better gains would.
+
+    Returns ``(splits, feature, threshold, left, right)``: ``splits``
+    flags the nodes whose best gain exceeds :data:`MIN_GAIN`, and
+    ``left``/``right`` hold each node's children as :func:`_children`
+    describes them.
     """
-    n = y.shape[0]
-    total_sum = y.sum()
-    total_sq = (y ** 2).sum()
-    parent_impurity = total_sq / n - (total_sum / n) ** 2
+    n_nodes = len(nodes)
+    counts = np.array([node.rows.shape[0] for node in nodes])
+    width = int(counts.max())
+    real = np.arange(width) < counts[:, None]
+    grid = np.full((n_nodes, width), y_pad.shape[0] - 1)
+    grid[real] = np.concatenate([node.rows for node in nodes])
+    features = np.array([node.features for node in nodes])
+    n_draw = features.shape[1]
 
-    best = None
-    best_gain = 1e-12   # require strictly positive gain
-    for feature in feature_indices:
-        column = X[:, feature]
-        order = np.argsort(column, kind="mergesort")
-        col_sorted = column[order]
-        y_sorted = y[order]
+    shift = (width - 1).bit_length()
+    keys = (ranks[features[:, :, None], grid[:, None, :]] << shift) | np.arange(width)
+    keys.sort(axis=2)
+    slots = keys & ((1 << shift) - 1)
+    node_index = np.arange(n_nodes)
+    y_grid = y_pad[grid]
+    y_sorted = y_grid.ravel()[slots + (node_index * width)[:, None, None]]
+    cum_sum = np.cumsum(y_sorted, axis=2)
+    cum_sq = np.cumsum(y_sorted ** 2, axis=2)
 
-        cum_sum = np.cumsum(y_sorted)
-        cum_sq = np.cumsum(y_sorted ** 2)
+    # Candidate boundary after sorted position p: left = [0..p].  Only
+    # valid candidates are scored; the rest keep gain -inf.
+    left_counts = np.arange(1, width + 1)
+    right_counts = counts[:, None, None] - left_counts
+    rank_sorted = keys >> shift
+    valid = np.zeros(keys.shape, dtype=bool)
+    valid[:, :, :-1] = rank_sorted[:, :, :-1] < rank_sorted[:, :, 1:]
+    valid &= (left_counts >= min_samples_leaf) & (right_counts >= min_samples_leaf)
+    cells = np.flatnonzero(valid)
+    node_of, rest = np.divmod(cells, n_draw * width)
+    left_counts = rest % width + 1
+    n = counts[node_of]
+    right_counts = n - left_counts
+    left_sum = cum_sum.ravel()[cells]
+    left_sq = cum_sq.ravel()[cells]
+    right_sum = np.array([node.total_sum for node in nodes])[node_of] - left_sum
+    right_sq = np.array([node.total_sq for node in nodes])[node_of] - left_sq
+    left_var = left_sq / left_counts - (left_sum / left_counts) ** 2
+    right_var = right_sq / right_counts - (right_sum / right_counts) ** 2
+    weighted = (left_counts * left_var + right_counts * right_var) / n
+    gain = np.full(n_nodes * n_draw * width, -np.inf)
+    gain[cells] = np.array([node.impurity for node in nodes])[node_of] - weighted
 
-        # candidate split after position i (left = [0..i], right = [i+1..n-1])
-        left_counts = np.arange(1, n)
-        right_counts = n - left_counts
+    flat_gain = gain.reshape(n_nodes, -1)
+    best = np.argmax(flat_gain, axis=1)
+    splits = flat_gain[node_index, best] > MIN_GAIN
+    slot, position = np.divmod(best, width)
+    feature = features[node_index, slot]
+    low = X_pad[grid[node_index, slots[node_index, slot, position]], feature]
+    high = X_pad[grid[node_index, slots[node_index, slot, position + 1]], feature]
+    # A midpoint that rounds up to the upper value (adjacent floats) or
+    # overflows would leave one child empty; split at the lower value.
+    with np.errstate(over="ignore"):
+        threshold = 0.5 * (low + high)
+    threshold = np.where((low <= threshold) & (threshold < high), threshold, low)
 
-        valid = (
-            (left_counts >= min_samples_leaf)
-            & (right_counts >= min_samples_leaf)
-            & (col_sorted[:-1] < col_sorted[1:])   # only between distinct values
-        )
-        if not np.any(valid):
-            continue
+    go_left = (X_pad[grid, feature[:, None]] <= threshold[:, None]) & real
+    go_right = real & ~go_left
+    return (
+        splits, feature, threshold,
+        _children(grid, y_grid, go_left), _children(grid, y_grid, go_right),
+    )
 
-        left_sum = cum_sum[:-1]
-        left_sq = cum_sq[:-1]
-        right_sum = total_sum - left_sum
-        right_sq = total_sq - left_sq
 
-        left_var = left_sq / left_counts - (left_sum / left_counts) ** 2
-        right_var = right_sq / right_counts - (right_sum / right_counts) ** 2
-        weighted = (left_counts * left_var + right_counts * right_var) / n
-        gain = parent_impurity - weighted
-        gain[~valid] = -np.inf
+def _children(grid: np.ndarray, y_grid: np.ndarray, member: np.ndarray) -> List[tuple]:
+    """``(rows, targets, constant target?)`` of one child of every node."""
+    rows = grid[member]
+    targets = y_grid[member]
+    constant = (
+        np.where(member, y_grid, np.inf).min(axis=1)
+        == np.where(member, y_grid, -np.inf).max(axis=1)
+    ).tolist()
+    ends = np.cumsum(member.sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
+    return [
+        (rows[start:end], targets[start:end], flat)
+        for start, end, flat in zip(starts, ends, constant)
+    ]
 
-        idx = int(np.argmax(gain))
-        if gain[idx] > best_gain:
-            best_gain = float(gain[idx])
-            threshold = 0.5 * (col_sorted[idx] + col_sorted[idx + 1])
-            best = (int(feature), float(threshold), best_gain)
 
-    return best
+def _chunks(nodes: List[_Pending], n_features: int) -> List[List[_Pending]]:
+    """Group pending nodes, largest first, under :data:`SPLIT_SEARCH_CELLS`."""
+    nodes = sorted(nodes, key=lambda node: -node.rows.shape[0])
+    chunks = []
+    start = 0
+    while start < len(nodes):
+        width = nodes[start].rows.shape[0]
+        size = max(1, SPLIT_SEARCH_CELLS // (n_features * width))
+        chunks.append(nodes[start:start + size])
+        start += size
+    return chunks
+
+
+def grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: Sequence[np.ndarray],
+    random_states: Sequence[object],
+    *,
+    max_depth: Optional[int],
+    min_samples_split: int,
+    min_samples_leaf: int,
+    max_features: MaxFeatures,
+) -> FlatForest:
+    """Grow one CART tree per ``(samples[t], random_states[t])`` in lockstep.
+
+    Tree ``t`` is fitted on the rows ``X[samples[t]]`` (in that order,
+    duplicates allowed) with ``np.random.default_rng(random_states[t])``
+    drawing its per-split feature subsets.  A node becomes a leaf when
+    it has fewer than ``min_samples_split`` rows, sits at ``max_depth``,
+    has a constant target, or has no split with positive gain; its value
+    is the mean target of its rows.
+
+    Each step pops, from every tree, nodes off its stack until one needs
+    a split search (leaves by the stopping rules are recorded on the
+    way), then searches all those nodes at once.  Per-node target sums
+    are taken on the node's own rows, so they round exactly as a
+    per-node ``np.sum``/``np.mean`` does.  Nodes are recorded in visit
+    order; a stable sort by (tree, depth) turns each tree's preorder
+    into its breadth-first layout.
+    """
+    n_trees = len(samples)
+    n_features = X.shape[1]
+    n_draw = n_split_features(max_features, n_features)
+    all_features = np.arange(n_features)
+    rngs = [np.random.default_rng(state) for state in random_states]
+    # One filler row (index n) pads short nodes in the split search.
+    X_pad = np.vstack([X, np.full((1, n_features), np.inf)])
+    y_pad = np.append(y, 0.0)
+    ranks = _dense_ranks(X)
+
+    record_tree: List[int] = []
+    record_depth: List[int] = []
+    record_parent: List[int] = []
+    record_is_right: List[bool] = []
+    record_value: List[float] = []
+    record_feature: List[int] = []
+    record_threshold: List[float] = []
+
+    # A stack entry is (rows, their targets, constant target?, depth,
+    # parent record, is right child).
+    stacks = []
+    for rows in samples:
+        rows = np.asarray(rows)
+        y_rows = y[rows]
+        stacks.append([(rows, y_rows, y_rows.min() == y_rows.max(), 0, -1, False)])
+    live = list(range(n_trees))
+    while live:
+        pending: List[_Pending] = []
+        for t in live:
+            stack = stacks[t]
+            while stack:
+                rows, y_rows, constant, depth, parent, is_right = stack.pop()
+                n = rows.shape[0]
+                total_sum = y_rows.sum()
+                record = len(record_value)
+                record_tree.append(t)
+                record_depth.append(depth)
+                record_parent.append(parent)
+                record_is_right.append(is_right)
+                record_value.append(total_sum / n)
+                record_feature.append(-1)
+                record_threshold.append(0.0)
+                if (
+                    n < min_samples_split
+                    or (max_depth is not None and depth >= max_depth)
+                    or constant
+                ):
+                    continue
+                if n_draw < n_features:
+                    features = rngs[t].choice(n_features, size=n_draw, replace=False)
+                else:
+                    features = all_features
+                total_sq = (y_rows ** 2).sum()
+                impurity = total_sq / n - (total_sum / n) ** 2
+                pending.append(_Pending(
+                    record, t, rows, depth, features, total_sum, total_sq, impurity
+                ))
+                break
+
+        for chunk in _chunks(pending, n_draw):
+            splits, feature, threshold, left, right = _search_splits(
+                X_pad, y_pad, ranks, chunk, min_samples_leaf
+            )
+            for k in np.nonzero(splits)[0]:
+                node = chunk[k]
+                record_feature[node.record] = int(feature[k])
+                record_threshold[node.record] = float(threshold[k])
+                stack = stacks[node.tree]
+                stack.append((*right[k], node.depth + 1, node.record, True))
+                stack.append((*left[k], node.depth + 1, node.record, False))
+        live = [t for t in live if stacks[t]]
+
+    tree_of = np.array(record_tree)
+    order = np.lexsort((np.array(record_depth), tree_of))
+    node_id = np.empty_like(order)
+    node_id[order] = np.arange(order.shape[0])
+    parent = np.array(record_parent)
+    is_right = np.array(record_is_right, dtype=bool)
+    children = np.nonzero(parent >= 0)[0]
+    left = np.full(order.shape[0], -1, dtype=np.int64)
+    right = np.full(order.shape[0], -1, dtype=np.int64)
+    on_right = is_right[children]
+    left[node_id[parent[children[~on_right]]]] = node_id[children[~on_right]]
+    right[node_id[parent[children[on_right]]]] = node_id[children[on_right]]
+    roots = np.searchsorted(tree_of[order], np.arange(n_trees))
+    return (
+        roots.astype(np.int64),
+        np.array(record_feature, dtype=np.int64)[order],
+        np.array(record_threshold, dtype=np.float64)[order],
+        left,
+        right,
+        np.array(record_value, dtype=np.float64)[order],
+    )
 
 
 class DecisionTreeRegressor(Regressor):
@@ -186,80 +411,39 @@ class DecisionTreeRegressor(Regressor):
         max_depth: Optional[int] = None,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features: Optional[float] = None,
+        max_features: MaxFeatures = None,
         random_state: Optional[int] = None,
     ) -> None:
-        if min_samples_split < 2:
-            raise ConfigurationError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ConfigurationError("min_samples_leaf must be >= 1")
+        check_growth_params(min_samples_split, min_samples_leaf, max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
 
-    # ------------------------------------------------------------------
     def _n_split_features(self, n_features: int) -> int:
-        if self.max_features is None:
-            return n_features
-        if isinstance(self.max_features, str):
-            if self.max_features == "sqrt":
-                return max(1, int(np.sqrt(n_features)))
-            if self.max_features == "log2":
-                return max(1, int(np.log2(n_features)))
-            raise ConfigurationError(f"Unknown max_features {self.max_features!r}")
-        if isinstance(self.max_features, float):
-            return max(1, int(self.max_features * n_features))
-        return max(1, min(int(self.max_features), n_features))
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> _Node:
-        node = _Node(prediction=float(np.mean(y)))
-        n_samples, n_features = X.shape
-
-        if (
-            n_samples < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.all(y == y[0])
-        ):
-            return node
-
-        n_split_features = self._n_split_features(n_features)
-        if n_split_features < n_features:
-            feature_indices = rng.choice(n_features, size=n_split_features, replace=False)
-        else:
-            feature_indices = np.arange(n_features)
-
-        split = _best_split(X, y, feature_indices, self.min_samples_leaf)
-        if split is None:
-            return node
-
-        feature, threshold, _gain = split
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1, rng)
-        node.right = self._build(X[~mask], y[~mask], depth + 1, rng)
-        return node
+        return n_split_features(self.max_features, n_features)
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "DecisionTreeRegressor":
         X_arr, y_arr = validate_fit_args(X, y)
-        rng = np.random.default_rng(self.random_state)
         self.n_features_ = X_arr.shape[1]
-        self.root_ = self._build(X_arr, y_arr, depth=0, rng=rng)
         (
+            _roots,
             self.feature_,
             self.threshold_,
             self.children_left_,
             self.children_right_,
             self.value_,
-        ) = _flatten_tree(self.root_)
+        ) = grow_trees(
+            X_arr, y_arr, [np.arange(X_arr.shape[0])], [self.random_state],
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+        )
         return self
 
     def predict(self, X: ArrayLike) -> np.ndarray:
-        # Prediction needs only the flat arrays, so a tree restored from
-        # the serving model registry (which persists the columnar layout
-        # but not the linked _Node structure) predicts identically.
         self._check_fitted("feature_")
         X_arr = as_2d_array(X, allow_empty=True)
         if X_arr.shape[1] != self.n_features_:
@@ -273,16 +457,19 @@ class DecisionTreeRegressor(Regressor):
 
     def depth(self) -> int:
         """Maximum depth of the fitted tree (0 for a single leaf)."""
-        self._check_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        self._check_fitted("feature_")
+        level = np.zeros(1, dtype=np.int64)
+        depth = 0
+        while True:
+            internal = level[self.feature_[level] >= 0]
+            if internal.size == 0:
+                return depth
+            level = np.concatenate(
+                (self.children_left_[internal], self.children_right_[internal])
+            )
+            depth += 1
 
     def node_count(self) -> int:
         """Total number of nodes (internal + leaves) in the fitted tree."""
-        self._check_fitted("root_")
+        self._check_fitted("feature_")
         return int(self.feature_.shape[0])

@@ -10,12 +10,12 @@ mapping (stored in one ``.npz`` by the registry);
 :func:`restore_estimator` rebuilds the estimator from the pair.
 
 The persisted state is deliberately the *prediction* state, not the
-training state: a restored tree/forest carries the flat node arrays but
-not the linked ``_Node`` structure, a restored SVR carries support
-coefficients but no optimizer state.  Restored estimators therefore
-predict — bit-identically — but do not expose training-only
-introspection (``DecisionTreeRegressor.depth()``,
-``RandomForestRegressor.estimators_``).
+training state: a restored SVR carries support coefficients but no
+optimizer state, so it predicts bit-identically but cannot resume
+training.  Trees and forests have no other state than their flat node
+arrays, so a restored tree or forest is the fitted estimator again: it
+predicts bit-identically and answers ``depth()``/``node_count()`` (and,
+for a forest, ``estimators_``) as the original does.
 """
 
 from __future__ import annotations

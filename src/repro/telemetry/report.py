@@ -29,7 +29,7 @@ RUN_REPORT_SCHEMA = "repro.run_report/v1"
 #: Per-PR benchmark artifact name — the single constant both
 #: ``benchmarks/conftest.py`` and the CI workflow derive the default
 #: artifact path from (the ``BENCH_REPORT_JSON`` env var still overrides).
-BENCH_ARTIFACT_NAME = "BENCH_12.json"
+BENCH_ARTIFACT_NAME = "BENCH_14.json"
 
 #: Default name of the tier-1 run-report artifact CI uploads.
 RUN_REPORT_ARTIFACT_NAME = "RUN_REPORT_7.json"

@@ -2,7 +2,7 @@
 
 The flat-array tree/forest traversals and the ``argpartition`` neighbour
 search must stay **bit-identical** to the per-row reference
-implementations in ``repro.ml.reference`` (the pre-vectorized bodies);
+implementations in ``tests.oracles.ml`` (the pre-vectorized bodies);
 the chunked L1/L-infinity metrics must be block-size invariant; and the
 vectorized correlation study must agree with its per-sample oracle to
 1e-9 (reduction order differs, so the pin is tolerance- not bit-exact).
@@ -23,14 +23,16 @@ from repro.ml.distances import (
 )
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsClassifier, KNeighborsRegressor, stable_kneighbors
-from repro.ml.reference import (
+from repro.ml.tree import DecisionTreeRegressor
+from tests.oracles.ml import (
+    ReferenceDecisionTreeRegressor,
     ReferenceKNeighborsRegressor,
+    ReferenceRandomForestRegressor,
     reference_forest_predict,
     reference_kneighbors,
     reference_knn_predict,
     reference_tree_predict,
 )
-from repro.ml.tree import DecisionTreeRegressor
 
 
 def _regression_data(rng, n, d, duplicates=0):
@@ -53,11 +55,13 @@ class TestFlatTreeEquivalence:
         rng = np.random.default_rng(seed)
         X, y = _regression_data(rng, 60, 4)
         Xq = rng.normal(size=(40, 4))
-        tree = DecisionTreeRegressor(
+        params = dict(
             max_depth=max_depth, min_samples_leaf=min_samples_leaf,
             max_features=0.75, random_state=seed,
-        ).fit(X, y)
-        assert np.array_equal(tree.predict(Xq), reference_tree_predict(tree, Xq))
+        )
+        tree = DecisionTreeRegressor(**params).fit(X, y)
+        oracle = ReferenceDecisionTreeRegressor(**params).fit(X, y)
+        assert np.array_equal(tree.predict(Xq), reference_tree_predict(oracle, Xq))
 
     def test_flat_layout_shapes(self):
         rng = np.random.default_rng(0)
@@ -81,21 +85,21 @@ class TestFlatTreeEquivalence:
         rng = np.random.default_rng(7)
         X, y = _regression_data(rng, 150, 5)
         Xq = rng.normal(size=(60, 5))
-        forest = RandomForestRegressor(
-            n_estimators=15, max_depth=6, random_state=3
-        ).fit(X, y)
-        assert np.array_equal(forest.predict(Xq), reference_forest_predict(forest, Xq))
+        params = dict(n_estimators=15, max_depth=6, random_state=3)
+        forest = RandomForestRegressor(**params).fit(X, y)
+        oracle = ReferenceRandomForestRegressor(**params).fit(X, y)
+        assert np.array_equal(forest.predict(Xq), reference_forest_predict(oracle, Xq))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n_estimators=st.integers(1, 8))
     def test_forest_equivalence_property(self, seed, n_estimators):
         rng = np.random.default_rng(seed)
         X, y = _regression_data(rng, 50, 3)
-        forest = RandomForestRegressor(
-            n_estimators=n_estimators, max_depth=4, random_state=seed
-        ).fit(X, y)
+        params = dict(n_estimators=n_estimators, max_depth=4, random_state=seed)
+        forest = RandomForestRegressor(**params).fit(X, y)
+        oracle = ReferenceRandomForestRegressor(**params).fit(X, y)
         Xq = rng.normal(size=(20, 3))
-        assert np.array_equal(forest.predict(Xq), reference_forest_predict(forest, Xq))
+        assert np.array_equal(forest.predict(Xq), reference_forest_predict(oracle, Xq))
 
 
 class TestStableKneighborsEquivalence:
