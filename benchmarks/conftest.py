@@ -71,7 +71,7 @@ class BenchReport:
              f"{work_items / scalar_s:,.0f} {units_label}/s" if work_items else ""),
             ("batch engine", f"{batch_s:.4f} s",
              f"{work_items / batch_s:,.0f} {units_label}/s" if work_items else ""),
-            ("speedup", f"{speedup:.1f}x", f"(floor {floor:g}x)"),
+            ("speedup", f"{speedup:.1f}x", f"(floor {floor:.3g}x)"),
         ]
         _print_table(f"{benchmark} throughput", rows)
         return speedup

@@ -267,14 +267,14 @@ def _children(grid: np.ndarray, y_grid: np.ndarray, member: np.ndarray) -> List[
     ]
 
 
-def _chunks(nodes: List[_Pending], n_features: int) -> List[List[_Pending]]:
+def _chunks(nodes: List[_Pending], n_draw: int) -> List[List[_Pending]]:
     """Group pending nodes, largest first, under :data:`SPLIT_SEARCH_CELLS`."""
     nodes = sorted(nodes, key=lambda node: -node.rows.shape[0])
     chunks = []
     start = 0
     while start < len(nodes):
         width = nodes[start].rows.shape[0]
-        size = max(1, SPLIT_SEARCH_CELLS // (n_features * width))
+        size = max(1, SPLIT_SEARCH_CELLS // (n_draw * width))
         chunks.append(nodes[start:start + size])
         start += size
     return chunks

