@@ -19,8 +19,8 @@ import pytest
 
 from repro.characterization.campaign import CampaignConfig
 from repro.characterization.experiment import CharacterizationExperiment
-from repro.characterization.reference import reference_scalar_run
 from repro.workloads.registry import campaign_workload_names
+from tests.oracles.characterization import reference_scalar_run
 
 pytestmark = pytest.mark.slow
 

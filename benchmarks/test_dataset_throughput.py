@@ -7,8 +7,9 @@ benchmarks pin their batch engines:
 
 * ``build_wer_dataset`` / ``build_pue_dataset`` produce *bit-identical*
   ``(X, y, groups)`` matrices — and equal ``Sample`` views — to the
-  per-sample reference implementations (``repro.core.reference``, the
-  pre-columnar builder bodies) on the paper's default campaign;
+  per-sample oracles (``tests/oracles/core.py``, the pre-columnar
+  builder bodies, with matrices stacked one ``input_row`` at a time) on
+  the paper's default campaign;
 * assembling the WER design matrix through the columnar path is at
   least 10x faster than the per-sample list scan.
 """
@@ -19,17 +20,19 @@ import pytest
 
 from repro.core.dataset import build_pue_dataset, build_wer_dataset
 from repro.core.features import INPUT_SET_1, INPUT_SET_3
-from repro.core.reference import (
+from tests.oracles.core import (
     reference_build_pue_dataset,
     reference_build_wer_dataset,
+    reference_matrices,
 )
 
 pytestmark = pytest.mark.slow
 
 
 def _assert_identical_matrices(columnar, reference, feature_set):
+    """``columnar`` is an ErrorDataset, ``reference`` a Sample list."""
     Xc, yc, gc = columnar.matrices(feature_set)
-    Xr, yr, gr = reference.matrices(feature_set)
+    Xr, yr, gr = reference_matrices(reference, feature_set)
     assert Xc.dtype == Xr.dtype and Xc.shape == Xr.shape
     assert Xc.tobytes() == Xr.tobytes()
     assert yc.tobytes() == yr.tobytes()
@@ -45,12 +48,13 @@ def test_columnar_wer_dataset_matches_reference_exactly(
     for feature_set in (INPUT_SET_1, INPUT_SET_3):
         _assert_identical_matrices(columnar, reference, feature_set)
     # Rank filtering must stay columnar and still match the list filter.
-    rank = reference.ranks()[0]
+    rank = columnar.ranks()[0]
     _assert_identical_matrices(
-        columnar.filter_rank(rank), reference.filter_rank(rank), INPUT_SET_1
+        columnar.filter_rank(rank), [s for s in reference if s.rank == rank],
+        INPUT_SET_1,
     )
     # The lazily materialized Sample view reproduces the reference samples.
-    assert columnar.samples == reference.samples
+    assert columnar.samples == tuple(reference)
 
 
 def test_columnar_pue_dataset_matches_reference_exactly(
@@ -59,7 +63,7 @@ def test_columnar_pue_dataset_matches_reference_exactly(
     columnar = build_pue_dataset(full_campaign, campaign_profiles)
     reference = reference_build_pue_dataset(full_campaign, campaign_profiles)
     _assert_identical_matrices(columnar, reference, INPUT_SET_1)
-    assert columnar.samples == reference.samples
+    assert columnar.samples == tuple(reference)
 
 
 def test_dataset_assembly_at_least_10x_list_scan(
@@ -67,13 +71,15 @@ def test_dataset_assembly_at_least_10x_list_scan(
 ):
     # Warm both paths (store/profile caches, imports).
     build_wer_dataset(full_campaign, campaign_profiles).matrices(INPUT_SET_1)
-    reference_build_wer_dataset(full_campaign, campaign_profiles).matrices(INPUT_SET_1)
+    reference_matrices(
+        reference_build_wer_dataset(full_campaign, campaign_profiles), INPUT_SET_1
+    )
 
     # Min-of-N timing on both sides, as in the campaign benchmark: the
     # floor must hold on noisy shared CI runners.
     scalar_s = min(
-        _timed(lambda: reference_build_wer_dataset(
-            full_campaign, campaign_profiles).matrices(INPUT_SET_1))
+        _timed(lambda: reference_matrices(reference_build_wer_dataset(
+            full_campaign, campaign_profiles), INPUT_SET_1))
         for _ in range(3)
     )
     batch_s = min(

@@ -23,6 +23,7 @@ from repro.dram.cells import CellArrayConfig, CellArraySimulator
 from repro.dram.calibration import DramCalibration, RetentionCalibration
 from repro.dram.ecc import ERROR_CLASS_ORDER, SecdedCode, bits_to_words
 from repro.dram.geometry import DramGeometry, small_geometry
+from tests.oracles.ecc import ReferenceSecdedCode
 
 pytestmark = pytest.mark.slow
 
@@ -112,8 +113,8 @@ def test_packed_decode_at_least_3x_unpacked(corrupted_block, bench_report):
     and corrected-bit indices on the same corrupted codewords.
     """
     _words, codewords = corrupted_block
-    packed = SecdedCode(packed=True)
-    oracle = SecdedCode(packed=False)
+    packed = SecdedCode()
+    oracle = ReferenceSecdedCode()
 
     packed_result = packed.decode_batch(codewords)
     oracle_result = oracle.decode_batch(codewords)

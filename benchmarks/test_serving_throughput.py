@@ -5,7 +5,7 @@ path actually beats per-point prediction, so these benchmarks pin — the
 same way the ECC, dataset and ML benchmarks pin their batch engines —
 
 * ``WorkloadAwarePredictor.predict_grid`` against the per-point oracle
-  (:func:`repro.core.reference.reference_predict_grid`): at least 10x
+  (``reference_predict_grid`` in ``tests/oracles/core.py``): at least 10x
   faster over a campaign-scale operating grid, agreeing to 1e-9
   relative tolerance (BLAS batch shape may differ in the last ulps);
 * :class:`repro.serving.PredictionService` throughput: a warm service
@@ -22,10 +22,10 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import WorkloadAwarePredictor
-from repro.core.reference import reference_predict_grid
 from repro.dram.operating import OperatingPoint
 from repro.serving import PredictionService, PredictRequest
 from repro.workloads.registry import campaign_workload_names
+from tests.oracles.core import reference_predict_grid
 
 pytestmark = pytest.mark.slow
 

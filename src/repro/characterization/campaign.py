@@ -31,11 +31,10 @@ columnar blocks, and the parent merges blocks in workload order — the
 result is bit-identical to the sequential sweep for any worker count
 (pinned by ``tests/test_campaign_parallel.py``).
 
-:class:`CampaignResult` keeps the columnar store as its canonical record
-after a sweep and materializes the flat ``WerMeasurement`` list lazily;
-hand-built results (tests, tools) may still treat ``wer_measurements``
-as an append-only list, and the columnar view tracks it with the same
-length/identity heuristic as before.
+:class:`CampaignResult` holds the WER record as one columnar store.
+Sweeps append blocks with :meth:`CampaignResult.extend_wer_columns`,
+hand-built records go through :meth:`CampaignResult.add_wer_measurements`,
+and ``wer_measurements`` is a read-only tuple view of the store.
 
 Telemetry
 ---------
@@ -56,7 +55,7 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,117 +129,54 @@ class CampaignConfig:
 class CampaignResult:
     """All measurements of one campaign, with the aggregations the figures use.
 
-    The WER record has two interchangeable representations: the columnar
-    :class:`WerColumnStore` (what a sweep produces, via
-    :meth:`extend_wer_columns`) and the flat ``wer_measurements`` list.
-    Whichever was touched last is canonical — a store-backed result
-    materializes the record list only when ``wer_measurements`` is first
-    read, and a hand-mutated list is re-packed into columns on the next
-    aggregation.
+    The WER record is one :class:`WerColumnStore`.  It grows only through
+    :meth:`extend_wer_columns` (sweep blocks) and
+    :meth:`add_wer_measurements` (hand-built records); both reset the
+    cached ``wer_measurements`` tuple, so no view of the record can go
+    stale.
     """
 
     def __init__(
         self,
         config: CampaignConfig,
-        wer_measurements: Optional[List[WerMeasurement]] = None,
+        wer_measurements: Iterable[WerMeasurement] = (),
         pue_summaries: Optional[List[PueSummary]] = None,
     ) -> None:
         self.config = config
         self.pue_summaries: List[PueSummary] = (
             pue_summaries if pue_summaries is not None else []
         )
-        self._wer_list: Optional[List[WerMeasurement]] = (
-            wer_measurements if wer_measurements is not None else []
-        )
-        # True once a caller holds the list object (passed in, read via the
-        # property, or assigned): block ingestion must then extend that
-        # list in place rather than detach it for the columnar fast path.
-        self._wer_list_shared = wer_measurements is not None
-        self._wer_store: Optional[WerColumnStore] = None
-        self._wer_store_source: Optional[List[WerMeasurement]] = None
+        self._wer_store = WerColumnStore(list(wer_measurements))
+        self._wer_view: Optional[Tuple[WerMeasurement, ...]] = None
 
-    # -- the flat record list --------------------------------------------------
     @property
-    def wer_measurements(self) -> List[WerMeasurement]:
-        """The flat measurement record, materialized from columns on demand."""
-        if self._wer_list is None:
-            self._wer_list = (
-                self._wer_store.to_measurements() if self._wer_store is not None else []
-            )
-            # The store already matches the list it just produced.
-            self._wer_store_source = self._wer_list
-        self._wer_list_shared = True
-        return self._wer_list
-
-    @wer_measurements.setter
-    def wer_measurements(self, measurements: List[WerMeasurement]) -> None:
-        self._wer_list = measurements
-        self._wer_list_shared = True
+    def wer_measurements(self) -> Tuple[WerMeasurement, ...]:
+        """The flat measurement record: a read-only view built from the columns."""
+        if self._wer_view is None:
+            self._wer_view = tuple(self._wer_store.to_measurements())
+        return self._wer_view
 
     @property
     def num_wer_measurements(self) -> int:
-        """Number of WER records, without materializing the record list."""
-        if self._wer_list is not None:
-            return len(self._wer_list)
-        return len(self._wer_store) if self._wer_store is not None else 0
+        """Number of WER records, without materializing the record view."""
+        return len(self._wer_store)
 
-    # -- columnar backing store ------------------------------------------------
     def wer_columns(self) -> WerColumnStore:
-        """Columnar view of the WER measurements backing the aggregations.
-
-        When the record list is canonical (hand-built results), the view
-        is built lazily and rebuilt whenever the (append-only) list has
-        grown or been replaced wholesale since the last build, so callers
-        may freely interleave appends and aggregation queries.  Any
-        mutation that preserves both the list object and its length
-        (replacing a record in place, pop followed by append, reordering)
-        is invisible to this heuristic — call
-        :meth:`invalidate_wer_columns` after such edits.
-        """
-        if self._wer_list is None:
-            if self._wer_store is None:
-                self._wer_store = WerColumnStore([])
-            return self._wer_store
-        if (
-            self._wer_store is None
-            or self._wer_store_source is not self._wer_list
-            or len(self._wer_store) != len(self._wer_list)
-        ):
-            self._wer_store = WerColumnStore(self._wer_list)
-            self._wer_store_source = self._wer_list
+        """The columnar WER record backing the aggregations."""
         return self._wer_store
 
     def extend_wer_columns(self, blocks: Sequence[WerColumnStore]) -> None:
-        """Merge columnar measurement blocks into the WER record.
-
-        The fast path concatenates the blocks onto the canonical store
-        without materializing a single ``WerMeasurement``; when a record
-        list a caller may hold already exists (hand-built or previously
-        read results), the blocks are materialized and extended onto
-        that same list instead, so held references keep seeing the data.
-        """
+        """Append columnar measurement blocks to the WER record."""
         blocks = [block for block in blocks if len(block)]
         if not blocks:
             return
-        if self._wer_list is not None and (self._wer_list or self._wer_list_shared):
-            for block in blocks:
-                self._wer_list.extend(block.to_measurements())
-            return
-        existing = (
-            [self._wer_store]
-            if self._wer_store is not None and len(self._wer_store)
-            else []
-        )
+        existing = [self._wer_store] if len(self._wer_store) else []
         self._wer_store = WerColumnStore.concat(existing + blocks)
-        self._wer_list = None
-        self._wer_list_shared = False
-        self._wer_store_source = None
+        self._wer_view = None
 
-    def invalidate_wer_columns(self) -> None:
-        """Force a rebuild of the columnar view on the next aggregation."""
-        if self._wer_list is not None:
-            self._wer_store = None
-            self._wer_store_source = None
+    def add_wer_measurements(self, records: Iterable[WerMeasurement]) -> None:
+        """Append hand-built measurement records to the WER record."""
+        self.extend_wer_columns([WerColumnStore(list(records))])
 
     # -- WER aggregations ------------------------------------------------------
     def wer_by_workload(self, trefp_s: float, temperature_c: float) -> Dict[str, float]:

@@ -1,9 +1,9 @@
 """DRAM error metrics: WER (Eq. 2) and PUE (Eq. 3).
 
 Besides the scalar metric definitions and the flat per-run record types,
-this module hosts :class:`WerColumnStore` — the columnar backing store a
-:class:`~repro.characterization.campaign.CampaignResult` builds over its
-``WerMeasurement`` list so the figure-level aggregations (per-workload,
+this module hosts :class:`WerColumnStore` — the columnar record a
+:class:`~repro.characterization.campaign.CampaignResult` keeps its WER
+measurements in, so the figure-level aggregations (per-workload,
 per-rank, spreads) run as masked vector reductions instead of Python
 list scans.
 """
@@ -60,7 +60,7 @@ def wer_from_error_log(
     return word_error_rate(unique, footprint_words)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WerMeasurement:
     """A per-rank WER measurement of one characterization run."""
 
@@ -136,7 +136,8 @@ class WerColumnStore:
     straight from the grid engine's sample arrays (:meth:`from_grid`) and
     merged block-wise (:meth:`concat`), so a campaign sweep never has to
     materialize per-record objects; :meth:`to_measurements` reconstructs
-    the exact record list on demand.
+    the exact record list on demand.  ``rows`` is read-only: a store never
+    changes after it is built, so views derived from it cannot go stale.
     """
 
     DTYPE = np.dtype([
@@ -164,6 +165,7 @@ class WerColumnStore:
                 rcode = rank_codes[m.rank] = len(self._ranks)
                 self._ranks.append(m.rank)
             rows[i] = (wcode, m.trefp_s, m.vdd_v, m.temperature_c, rcode, m.wer)
+        rows.flags.writeable = False
         self.rows = rows
 
     @classmethod
@@ -176,6 +178,7 @@ class WerColumnStore:
         store = cls.__new__(cls)
         store._workloads = list(workloads)
         store._ranks = list(ranks)
+        rows.flags.writeable = False
         store.rows = rows
         return store
 

@@ -15,11 +15,10 @@ straight into a :class:`ColumnarDataset` (operating-point matrix, target
 vector and dictionary-encoded group/rank codes) and the program-feature
 join is one fancy-indexing pass over a per-workload feature table — no
 per-row :class:`Sample` objects are built unless a caller iterates the
-dataset.  The original per-sample implementation survives in
-``repro.core.reference`` as the independent equivalence reference; the
-columnar path must produce bit-identical ``(X, y, groups)`` matrices
-(pinned by ``tests/test_columnar_dataset.py`` and
-``benchmarks/test_dataset_throughput.py``).
+dataset.  The columnar matrices must be bit-identical to stacking
+:meth:`Sample.input_row` one sample at a time; the per-sample oracle in
+``tests/oracles/core.py`` pins that in ``tests/test_columnar_dataset.py``
+and ``benchmarks/test_dataset_throughput.py``.
 """
 
 from __future__ import annotations
@@ -53,12 +52,19 @@ class Sample:
         return feature_set.build_row(self.operating_point, self.program_features)
 
 
+def _read_only(values: np.ndarray, dtype: type) -> np.ndarray:
+    """A read-only copy of ``values``: dataset rows never change once built."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 class ColumnarDataset:
     """Columnar training data: feature columns, target vector, group codes.
 
-    Rows live in parallel numpy columns — workloads and ranks are
-    dictionary-encoded against small code tables, the operating point is
-    a ``(n, 3)`` float matrix and the target a float vector.
+    Rows live in parallel read-only numpy columns — workloads and ranks
+    are dictionary-encoded against small code tables, the operating point
+    is a ``(n, 3)`` float matrix and the target a float vector.
     :meth:`matrices` assembles ``(X, y, groups)`` with one vectorized
     profile-feature join instead of one Python row per sample.
     """
@@ -74,15 +80,14 @@ class ColumnarDataset:
         rank_codes: Optional[np.ndarray] = None,
     ) -> None:
         self.workloads = list(workloads)
-        self.workload_codes = np.asarray(workload_codes, dtype=np.int64)
-        self.operating_columns = np.asarray(operating_columns, dtype=np.float64)
-        self.targets = np.asarray(targets, dtype=np.float64)
+        self.workload_codes = _read_only(workload_codes, np.int64)
+        self.operating_columns = _read_only(operating_columns, np.float64)
+        self.targets = _read_only(targets, np.float64)
         self.features_by_workload = dict(features_by_workload)
         self.ranks = list(ranks)
-        self.rank_codes = (
-            np.asarray(rank_codes, dtype=np.int64)
-            if rank_codes is not None
-            else np.full(len(self.targets), -1, dtype=np.int64)
+        self.rank_codes = _read_only(
+            rank_codes if rank_codes is not None
+            else np.full(len(self.targets), -1), np.int64,
         )
         n = len(self.targets)
         if (
@@ -91,6 +96,53 @@ class ColumnarDataset:
             or self.operating_columns.shape != (n, 3)
         ):
             raise DataError("columnar dataset columns must have one entry per row")
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[Sample]) -> "ColumnarDataset":
+        """Pack hand-built samples once into columns.
+
+        Program features are stored once per workload, so every sample of
+        a workload must carry the same ``program_features``.
+        """
+        names: List[str] = []
+        workload_code: Dict[str, int] = {}
+        features: Dict[str, Mapping[str, float]] = {}
+        ranks: List[RankLocation] = []
+        rank_code: Dict[RankLocation, int] = {}
+        workload_codes = np.empty(len(samples), dtype=np.int64)
+        rank_codes = np.full(len(samples), -1, dtype=np.int64)
+        operating = np.empty((len(samples), 3), dtype=np.float64)
+        for i, sample in enumerate(samples):
+            code = workload_code.get(sample.workload)
+            if code is None:
+                code = workload_code[sample.workload] = len(names)
+                names.append(sample.workload)
+                features[sample.workload] = sample.program_features
+            elif (
+                sample.program_features is not features[sample.workload]
+                and sample.program_features != features[sample.workload]
+            ):
+                raise DataError(
+                    f"samples of workload {sample.workload!r} carry different "
+                    "program features"
+                )
+            workload_codes[i] = code
+            if sample.rank is not None:
+                if sample.rank not in rank_code:
+                    rank_code[sample.rank] = len(ranks)
+                    ranks.append(sample.rank)
+                rank_codes[i] = rank_code[sample.rank]
+            op = sample.operating_point
+            operating[i] = (op.trefp_s, op.vdd_v, op.temperature_c)
+        return cls(
+            workloads=names,
+            workload_codes=workload_codes,
+            operating_columns=operating,
+            targets=np.array([s.target for s in samples], dtype=np.float64),
+            features_by_workload=features,
+            ranks=ranks,
+            rank_codes=rank_codes,
+        )
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -162,67 +214,48 @@ class ColumnarDataset:
 
 
 class ErrorDataset:
-    """A set of labelled samples with matrix/group accessors.
+    """Labelled training rows over one :class:`ColumnarDataset`.
 
-    Two interchangeable backings: a plain :class:`Sample` list (hand-built
-    datasets, and the reference path for the equivalence pins) or a
-    :class:`ColumnarDataset` (what the campaign builders produce —
-    matrices, rank filters and group reductions run as vector operations
-    and ``Sample`` objects are materialized lazily only if a caller
-    iterates).  Mutating via :meth:`add` drops the columnar backing;
-    appending directly to a materialized ``samples`` list is detected by
-    the same length heuristic ``CampaignResult`` uses.
+    The campaign builders hand their columns in directly; a hand-built
+    dataset is packed once from its :class:`Sample` list.  Matrices, rank
+    filters and group reductions run as vector operations, and
+    ``samples`` is a read-only tuple view materialized only if a caller
+    iterates.  A dataset never changes after construction.
     """
 
     def __init__(
         self,
-        samples: Optional[List[Sample]] = None,
+        samples: Optional[Sequence[Sample]] = None,
         columns: Optional[ColumnarDataset] = None,
     ) -> None:
         if samples is not None and columns is not None:
             raise DataError("pass either samples or columns, not both")
-        self._columns = columns
-        self._samples: Optional[List[Sample]] = (
-            samples if samples is not None else (None if columns is not None else [])
+        self._columns = (
+            columns if columns is not None
+            else ColumnarDataset.from_samples(samples or ())
         )
+        self._samples: Optional[Tuple[Sample, ...]] = None
 
     # ------------------------------------------------------------------
     @property
-    def samples(self) -> List[Sample]:
+    def samples(self) -> Tuple[Sample, ...]:
         if self._samples is None:
-            self._samples = self._columns.materialize_samples()
+            self._samples = tuple(self._columns.materialize_samples())
         return self._samples
 
-    def _active_columns(self) -> Optional[ColumnarDataset]:
-        """The columnar backing, unless sample-list mutation outdated it."""
-        if self._columns is None:
-            return None
-        if self._samples is not None and len(self._samples) != len(self._columns):
-            return None
+    def columns(self) -> ColumnarDataset:
+        """The columnar rows, for callers that want raw columns."""
         return self._columns
 
-    def columns(self) -> Optional[ColumnarDataset]:
-        """Columnar backing for callers that want raw columns (may be None)."""
-        return self._active_columns()
-
     def __len__(self) -> int:
-        if self._samples is not None:
-            return len(self._samples)
         return len(self._columns)
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
-    def add(self, sample: Sample) -> None:
-        self.samples.append(sample)
-        self._columns = None
-
     # ------------------------------------------------------------------
     def workloads(self) -> List[str]:
-        columns = self._active_columns()
-        if columns is not None:
-            return columns.workloads_present()
-        return sorted({sample.workload for sample in self.samples})
+        return self._columns.workloads_present()
 
     def ranks(self) -> List[RankLocation]:
         """Distinct rank locations, sorted.
@@ -232,11 +265,7 @@ class ErrorDataset:
         silently returning ``[]`` used to make per-rank training loops
         vanish without a trace.
         """
-        columns = self._active_columns()
-        if columns is not None:
-            found = columns.ranks_present()
-        else:
-            found = sorted({s.rank for s in self.samples if s.rank is not None})
+        found = self._columns.ranks_present()
         if not found:
             raise DataError(
                 "dataset contains no rank-annotated samples "
@@ -246,40 +275,21 @@ class ErrorDataset:
 
     def filter_rank(self, rank: RankLocation) -> "ErrorDataset":
         """Samples belonging to one DIMM/rank (per-module models)."""
-        columns = self._active_columns()
-        if columns is not None:
-            if rank in columns.ranks:
-                mask = columns.rank_codes == columns.ranks.index(rank)
-            else:
-                mask = np.zeros(len(columns), dtype=bool)
-            if not mask.any():
-                raise DataError(f"no samples for rank {rank.label}")
-            return ErrorDataset(columns=columns.subset(mask))
-        subset = [s for s in self.samples if s.rank == rank]
-        if not subset:
+        columns = self._columns
+        if rank in columns.ranks:
+            mask = columns.rank_codes == columns.ranks.index(rank)
+        else:
+            mask = np.zeros(len(columns), dtype=bool)
+        if not mask.any():
             raise DataError(f"no samples for rank {rank.label}")
-        return ErrorDataset(samples=subset)
+        return ErrorDataset(columns=columns.subset(mask))
 
     def matrices(self, feature_set: FeatureSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (X, y, groups) where groups are workload names."""
-        columns = self._active_columns()
-        if columns is not None:
-            return columns.matrices(feature_set)
-        if not self.samples:
-            raise DataError("dataset is empty")
-        X = np.stack([sample.input_row(feature_set) for sample in self.samples])
-        y = np.array([sample.target for sample in self.samples], dtype=float)
-        groups = np.array([sample.workload for sample in self.samples])
-        return X, y, groups
+        return self._columns.matrices(feature_set)
 
     def targets_by_workload(self) -> Dict[str, List[float]]:
-        columns = self._active_columns()
-        if columns is not None:
-            return columns.targets_by_workload()
-        result: Dict[str, List[float]] = {}
-        for sample in self.samples:
-            result.setdefault(sample.workload, []).append(sample.target)
-        return result
+        return self._columns.targets_by_workload()
 
 
 def _profiles_for(
@@ -300,8 +310,8 @@ def build_wer_dataset(
     """Join per-rank WER measurements with program features (columnar).
 
     The campaign's ``WerColumnStore`` columns become the dataset columns
-    directly — codes, operating points and targets are shared or copied
-    array-wise, and no ``WerMeasurement``/``Sample`` objects are built.
+    directly — codes, operating points and targets are copied array-wise,
+    and no ``WerMeasurement``/``Sample`` objects are built.
     """
     telemetry = get_telemetry()
     with telemetry.span("dataset.build_wer"):
@@ -317,7 +327,7 @@ def build_wer_dataset(
             operating_columns=np.column_stack(
                 (rows["trefp_s"], rows["vdd_v"], rows["temperature_c"])
             ),
-            targets=np.array(rows["wer"]),
+            targets=rows["wer"],
             features_by_workload={name: resolved[name].features for name in names},
             ranks=store.ranks,
             rank_codes=rows["rank"],

@@ -38,10 +38,11 @@ six contiguous runs between the power-of-two parity positions), computes
 each parity bit as ``popcount(word & coverage_mask) & 1``, and decoding
 gathers the data word back with the inverse shifts.
 
-``SecdedCode(packed=False)`` retains the original unpacked byte-per-bit
-engine as the in-repo oracle; both paths share one classifier and are
-pinned bit-identical by ``tests/test_ecc_packed.py`` and the throughput
-benchmarks.  :meth:`SecdedCode.encode_batch` / :meth:`SecdedCode.decode_batch`
+The original unpacked byte-per-bit engine lives on as the test oracle
+``ReferenceSecdedCode`` in ``tests/oracles/ecc.py``; it subclasses
+:class:`SecdedCode`, shares its classifier, and is pinned bit-identical
+by ``tests/test_ecc_packed.py`` and the throughput benchmarks.
+:meth:`SecdedCode.encode_batch` / :meth:`SecdedCode.decode_batch`
 keep their ``(N, 72)`` uint8 signatures (``decode_batch`` additionally
 accepts ``(N, 2)`` uint64 lanes directly), and the scalar
 :meth:`SecdedCode.encode` / :meth:`SecdedCode.decode` API remains a thin
@@ -222,7 +223,7 @@ class BatchDecodeResult:
 
     The decoded data is stored in whichever representation the engine
     produced — packed ``(N,)`` uint64 words from the packed kernel or an
-    ``(N, 64)`` bit matrix from the unpacked oracle — and the other view
+    ``(N, 64)`` bit matrix from a byte-per-bit decoder — and the other view
     is materialised lazily on first access, so a streamed million-word
     decode never pays for a bit matrix nobody reads.
     """
@@ -295,19 +296,15 @@ class SecdedCode:
 
     Layout: 71 Hamming positions numbered 1..71 where power-of-two
     positions hold check bits and the rest hold the 64 data bits, plus an
-    overall parity bit appended at index 71 of the codeword array.
-
-    ``packed=True`` (the default) routes the batch API through the
-    uint64-lane kernels described in the module docstring;
-    ``packed=False`` keeps the original unpacked byte-per-bit engine,
-    retained as the equivalence oracle.
+    overall parity bit appended at index 71 of the codeword array.  The
+    batch API runs on the uint64-lane kernels described in the module
+    docstring.
     """
 
     data_bits = units.WORD_BITS
     codeword_bits = units.CODEWORD_BITS
 
-    def __init__(self, packed: bool = True) -> None:
-        self.packed = bool(packed)
+    def __init__(self) -> None:
         positions = np.arange(1, 72)                      # Hamming positions 1..71
         self._parity_positions = np.array([1, 2, 4, 8, 16, 32, 64])
         self._data_positions = np.array(
@@ -315,23 +312,6 @@ class SecdedCode:
         )
         if self._data_positions.shape[0] != self.data_bits:
             raise ConfigurationError("internal SECDED layout error")
-
-        # GF(2) structure, precomputed once so batch encode/decode reduce to
-        # integer matmuls followed by `& 1`:
-        #   * syndrome matrix S (71 x 7): S[c, b] = bit b of Hamming position
-        #     c+1, so syndrome_bits = hamming_bits @ S (mod 2) is the XOR of
-        #     the 1-indexed positions of all set bits;
-        #   * coverage matrix C (64 x 7): C[i, j] = 1 when data position i is
-        #     covered by parity position 2^j, so parity_bits = data @ C (mod 2).
-        bit_index = np.arange(7)
-        self._syndrome_matrix = (
-            (positions[:, None] >> bit_index[None, :]) & 1
-        ).astype(np.int64)
-        self._coverage_matrix = (
-            (self._data_positions[:, None] & self._parity_positions[None, :]) != 0
-        ).astype(np.int64)
-        self._syndrome_weights = (1 << bit_index).astype(np.int64)
-
         self._build_packed_constants()
 
     def _build_packed_constants(self) -> None:
@@ -442,8 +422,8 @@ class SecdedCode:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared Table-I classifier: (codes, corrected positions, in-code mask).
 
-        Both engines route through this so the packed path can never
-        drift from the unpacked oracle's classification.
+        The byte-per-bit test oracle routes through this too, so the
+        packed path can never drift from the oracle's classification.
         """
         zero_syndrome = syndrome == 0
         codes = np.empty(syndrome.shape[0], dtype=np.uint8)
@@ -499,27 +479,6 @@ class SecdedCode:
             data_words=words, error_codes=codes, corrected_bits=corrected
         )
 
-    def _decode_unpacked(self, block: np.ndarray) -> BatchDecodeResult:
-        """The original byte-per-bit decode path, kept as the oracle."""
-        hamming = block[:, :71].astype(np.int64)
-        overall_received = block[:, 71].astype(np.int64)
-
-        syndrome = ((hamming @ self._syndrome_matrix) & 1) @ self._syndrome_weights
-        overall_computed = hamming.sum(axis=1) & 1
-        parity_ok = overall_computed == overall_received
-
-        codes, corrected, in_code = self._classify(syndrome, parity_ok)
-
-        hamming_out = block[:, :71].copy()
-        flip_rows = np.flatnonzero(in_code)
-        if flip_rows.size:
-            hamming_out[flip_rows, syndrome[flip_rows] - 1] ^= 1
-
-        data_bits = hamming_out[:, self._data_positions - 1]
-        return BatchDecodeResult(
-            data_bits=data_bits, error_codes=codes, corrected_bits=corrected
-        )
-
     # -- batch API ---------------------------------------------------------
     def encode_batch(self, data: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
         """Encode a batch of words into an ``(N, 72)`` codeword matrix.
@@ -527,18 +486,7 @@ class SecdedCode:
         ``data`` is either an ``(N,)`` array of 64-bit unsigned integers
         or an already unpacked ``(N, 64)`` LSB-first bit matrix.
         """
-        if self.packed:
-            return unpack_codewords(self.encode_packed(data))
-        bits = self._as_data_bits(data)
-        n = bits.shape[0]
-        hamming = np.zeros((n, 71), dtype=np.uint8)
-        hamming[:, self._data_positions - 1] = bits
-        parity = (bits.astype(np.int64) @ self._coverage_matrix) & 1
-        hamming[:, self._parity_positions - 1] = parity.astype(np.uint8)
-        codewords = np.empty((n, self.codeword_bits), dtype=np.uint8)
-        codewords[:, :71] = hamming
-        codewords[:, 71] = (hamming.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-        return codewords
+        return unpack_codewords(self.encode_packed(data))
 
     def encode_packed(self, data: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
         """Encode a batch of words directly into ``(N, 2)`` uint64 lanes.
@@ -553,23 +501,18 @@ class SecdedCode:
 
         Also accepts ``(N, 2)`` uint64 lanes (see the module docstring),
         which is how the streaming cell array feeds its stored state
-        without ever unpacking.  Classification is identical between the
-        packed and unpacked engines, bit for bit.
+        without ever unpacking.
         """
         block = np.asarray(codewords)
         if block.ndim == 2 and block.shape[1] == 2 and block.dtype == np.uint64:
-            if self.packed:
-                return self._decode_lanes(block)
-            return self._decode_unpacked(unpack_codewords(block))
+            return self._decode_lanes(block)
         block = np.asarray(block, dtype=np.uint8)
         if block.ndim != 2 or block.shape[1] != self.codeword_bits:
             raise ConfigurationError(
                 f"codeword block must have shape (N, {self.codeword_bits}), "
                 f"got shape {block.shape}"
             )
-        if self.packed:
-            return self._decode_lanes(pack_bits(block))
-        return self._decode_unpacked(block)
+        return self._decode_lanes(pack_bits(block))
 
     # -- scalar API (thin wrappers over one-element batches) ----------------
     def encode(self, data: int) -> np.ndarray:

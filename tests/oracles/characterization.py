@@ -1,4 +1,4 @@
-"""Scalar reference implementation of a characterization run.
+"""Scalar oracle of a characterization run.
 
 :func:`reference_scalar_run` is the pre-grid-engine body of
 :meth:`CharacterizationExperiment.run`, built purely from the model's
@@ -7,27 +7,25 @@ throughput benchmarks check the vectorized grid engine against an
 *independent* implementation rather than against itself — the grid
 engine must stay bit-identical to this function for the same seed and
 repetition index.  Any change to the scalar run contract must update
-this reference and the pinning suites (``tests/test_campaign_grid.py``,
+this oracle and the pinning suites (``tests/test_campaign_grid.py``,
 ``benchmarks/test_campaign_throughput.py``) together.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import units
+from repro.characterization.experiment import CharacterizationExperiment
 from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.profiling.profile import WorkloadProfile
 
-if TYPE_CHECKING:  # circular at runtime: experiment.py imports this module
-    from repro.characterization.experiment import CharacterizationExperiment
-
 
 def reference_scalar_run(
-    experiment: "CharacterizationExperiment",
+    experiment: CharacterizationExperiment,
     workload: str,
     op: OperatingPoint,
     profile: Optional[WorkloadProfile] = None,

@@ -1,16 +1,16 @@
-"""Per-sample reference implementations of the dataset builders.
+"""Per-sample oracles of the dataset builders, the correlation study and the grid.
 
 :func:`reference_build_wer_dataset` / :func:`reference_build_pue_dataset`
 are the pre-columnar bodies of ``build_wer_dataset`` /
 ``build_pue_dataset``: one :class:`~repro.core.dataset.Sample` per
-measurement, matrices assembled row by row.  They exist — mirroring
-``repro.characterization.reference`` for the grid engine — so the
-equivalence tests and the throughput benchmark check the columnar
-builders against an *independent* implementation rather than against
-themselves: the columnar path must stay bit-identical to these
-functions' ``(X, y, groups)`` output for the same campaign.  Any change
-to the dataset contract must update this reference and the pinning
-suites (``tests/test_columnar_dataset.py``,
+measurement, returned as a plain list.  :func:`reference_matrices`
+stacks those samples' ``input_row``s one at a time, so the equivalence
+tests and the throughput benchmark check the columnar builders against
+an *independent* implementation rather than against the columnar path
+itself: the columnar ``(X, y, groups)`` must stay bit-identical to
+these functions' output for the same campaign.  Any change to the
+dataset contract must update this oracle and the pinning suites
+(``tests/test_columnar_dataset.py``,
 ``benchmarks/test_dataset_throughput.py``) together.
 
 :func:`reference_run_correlation_study` follows the same convention for
@@ -18,36 +18,41 @@ the Fig. 10 feature-selection study: it is the pre-vectorized body of
 ``run_correlation_study`` — one pass over the ``Sample`` objects per
 dataset and one :func:`~repro.ml.metrics.spearman_correlation` call per
 (feature, operating-point group) — pinned against the group-code path
-by ``tests/test_core.py`` to a documented 1e-9 tolerance (reduction
-order differs, so agreement is tolerance- rather than bit-exact).
+by ``tests/test_ml_vectorized.py`` to a documented 1e-9 tolerance
+(reduction order differs, so agreement is tolerance- rather than
+bit-exact).
+
+:func:`reference_predict_grid` is the per-point form of
+``WorkloadAwarePredictor.predict_grid``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # runtime import would be circular; see the lazy import below
-    from repro.core.correlation import CorrelationStudy
-    from repro.core.predictor import WorkloadAwarePredictor
-
 from repro.characterization.campaign import CampaignResult
-from repro.core.dataset import ErrorDataset, Sample, _profiles_for
+from repro.core.correlation import CorrelationStudy, FeatureCorrelationPoint
+from repro.core.dataset import Sample, _profiles_for
+from repro.core.features import FeatureSet
+from repro.core.predictor import WorkloadAwarePredictor
 from repro.dram.operating import OperatingPoint
 from repro.errors import DataError
 from repro.ml.metrics import spearman_correlation
+from repro.profiling.counters import all_feature_names
 from repro.profiling.profile import WorkloadProfile
+from repro.profiling.profiler import profile_workload
 
 
 def reference_build_wer_dataset(
     campaign: CampaignResult,
     profiles: Optional[Dict[str, WorkloadProfile]] = None,
-) -> ErrorDataset:
+) -> List[Sample]:
     """Join per-rank WER measurements with program features, sample by sample."""
     workloads = sorted({m.workload for m in campaign.wer_measurements})
     resolved = _profiles_for(workloads, profiles)
-    dataset = ErrorDataset()
+    samples = []
     for measurement in campaign.wer_measurements:
         profile = resolved[measurement.workload]
         op = OperatingPoint(
@@ -55,7 +60,7 @@ def reference_build_wer_dataset(
             vdd_v=measurement.vdd_v,
             temperature_c=measurement.temperature_c,
         )
-        dataset.add(
+        samples.append(
             Sample(
                 workload=measurement.workload,
                 operating_point=op,
@@ -64,26 +69,26 @@ def reference_build_wer_dataset(
                 rank=measurement.rank,
             )
         )
-    if not dataset.samples:
+    if not samples:
         raise DataError("campaign contains no WER measurements")
-    return dataset
+    return samples
 
 
 def reference_build_pue_dataset(
     campaign: CampaignResult,
     profiles: Optional[Dict[str, WorkloadProfile]] = None,
     vdd_v: float = 1.428,
-) -> ErrorDataset:
+) -> List[Sample]:
     """Join the 70 C UE study with program features, sample by sample."""
     workloads = sorted({s.workload for s in campaign.pue_summaries})
     resolved = _profiles_for(workloads, profiles)
-    dataset = ErrorDataset()
+    samples = []
     for summary in campaign.pue_summaries:
         profile = resolved[summary.workload]
         op = OperatingPoint(
             trefp_s=summary.trefp_s, vdd_v=vdd_v, temperature_c=summary.temperature_c
         )
-        dataset.add(
+        samples.append(
             Sample(
                 workload=summary.workload,
                 operating_point=op,
@@ -92,13 +97,25 @@ def reference_build_pue_dataset(
                 rank=None,
             )
         )
-    if not dataset.samples:
+    if not samples:
         raise DataError("campaign contains no UE observations")
-    return dataset
+    return samples
+
+
+def reference_matrices(
+    samples: Sequence[Sample], feature_set: FeatureSet
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, y, groups)`` stacked one ``input_row`` at a time."""
+    if not samples:
+        raise DataError("dataset is empty")
+    X = np.stack([sample.input_row(feature_set) for sample in samples])
+    y = np.array([sample.target for sample in samples], dtype=float)
+    groups = np.array([sample.workload for sample in samples])
+    return X, y, groups
 
 
 def reference_grouped_samples(
-    dataset: ErrorDataset, feature_names: Sequence[str]
+    dataset: Iterable[Sample], feature_names: Sequence[str]
 ) -> Dict[Tuple[float, float], Dict[str, Tuple[List[float], List[float]]]]:
     """Group samples by operating point; average targets per workload.
 
@@ -137,14 +154,11 @@ def reference_grouped_spearman(
 
 
 def reference_run_correlation_study(
-    wer_dataset: ErrorDataset,
-    pue_dataset: ErrorDataset,
+    wer_dataset: Iterable[Sample],
+    pue_dataset: Iterable[Sample],
     feature_names: Optional[Sequence[str]] = None,
-) -> "CorrelationStudy":
+) -> CorrelationStudy:
     """Per-sample body of ``run_correlation_study`` (one scipy call per pair)."""
-    from repro.core.correlation import CorrelationStudy, FeatureCorrelationPoint
-    from repro.profiling.counters import all_feature_names
-
     names = list(feature_names) if feature_names is not None else all_feature_names()
     wer_groups = reference_grouped_samples(wer_dataset, names)
     pue_groups = reference_grouped_samples(pue_dataset, names)
@@ -158,7 +172,7 @@ def reference_run_correlation_study(
 
 
 def reference_predict_grid(
-    predictor: "WorkloadAwarePredictor",
+    predictor: WorkloadAwarePredictor,
     workloads: Sequence[str],
     trefps: Sequence[float],
     temperatures: Sequence[float],
@@ -174,8 +188,6 @@ def reference_predict_grid(
     batched path is pinned against this function to 1e-9 relative
     tolerance (BLAS batching may differ in the last ulps).
     """
-    from repro.profiling.profiler import profile_workload
-
     profiles = [
         w if isinstance(w, WorkloadProfile) else profile_workload(w)
         for w in workloads

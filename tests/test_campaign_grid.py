@@ -10,6 +10,8 @@ top of them.  Every comparison in this file is exact (``==`` on
 floats), not approximate — that is the scalar-vs-batch API contract.
 """
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,11 +25,12 @@ from repro.characterization.campaign import (
 )
 from repro.characterization.experiment import CharacterizationExperiment
 from repro.characterization.metrics import WerColumnStore, WerMeasurement
-from repro.characterization.reference import reference_scalar_run
+from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import StatisticalErrorModel
 from repro.errors import CharacterizationError
 from repro.profiling.profiler import profile_workload
+from tests.oracles.characterization import reference_scalar_run
 
 #: Palettes the property tests draw grid subsets from (all within the
 #: platform's configurable TREFP / temperature ranges).
@@ -304,16 +307,16 @@ class TestColumnarAggregations:
                 CharacterizationExperiment().server.geometry.iter_ranks()
             )), wer=1e-6,
         )
-        result.wer_measurements.append(measurement)
+        result.add_wer_measurements([measurement])
         assert result.wer_by_workload(1.173, 50.0) == {"a": 1e-6}
-        result.wer_measurements.append(
-            WerMeasurement(
-                workload="a", trefp_s=1.173, vdd_v=units.MIN_VDD_V,
-                temperature_c=50.0, rank=measurement.rank, wer=3e-6,
-            )
+        appended = WerMeasurement(
+            workload="a", trefp_s=1.173, vdd_v=units.MIN_VDD_V,
+            temperature_c=50.0, rank=measurement.rank, wer=3e-6,
         )
-        # The cached columnar view must pick up the appended measurement.
+        result.add_wer_measurements([appended])
+        # The record must pick up the appended measurement.
         assert result.wer_by_workload(1.173, 50.0) == {"a": pytest.approx(2e-6)}
+        assert result.wer_measurements == (measurement, appended)
 
     def test_store_group_means_preserve_record_order(self):
         store = WerColumnStore([])
@@ -321,38 +324,122 @@ class TestColumnarAggregations:
         with pytest.raises(CharacterizationError):
             store.mean_wer_by_workload(1.173, 50.0)
 
-    def test_sweep_extends_previously_read_measurement_list_in_place(self):
-        # Regression: a caller that reads wer_measurements before the sweep
-        # holds the canonical list — block ingestion must extend that list
-        # in place, not detach it for the columnar fast path.
+    def test_sweep_resets_previously_read_view(self):
+        # A view read before the sweep is a snapshot; the next read sees
+        # the swept rows.
         config = CampaignConfig(
             workloads=("backprop",), trefp_values_s=(2.283,), temperatures_c=(50.0,)
         )
         campaign = CharacterizationCampaign(config=config, seed=3)
         result = CampaignResult(config=config)
         held = result.wer_measurements
-        assert held == []
+        assert held == ()
         campaign.run_wer_sweep(result)
-        assert len(held) == 8
-        assert held is result.wer_measurements
-        # And the columnar view serves the same rows.
-        assert len(result.wer_columns()) == 8
+        assert held == ()
+        assert len(result.wer_measurements) == 8
+        assert result.num_wer_measurements == len(result.wer_columns()) == 8
+        assert result.wer_measurements == tuple(result.wer_columns().to_measurements())
+        with pytest.raises(ValueError):
+            result.wer_columns().rows["wer"][0] = 0.0
+
+    def test_record_views_cannot_be_edited(self):
         rank = next(CharacterizationExperiment().server.geometry.iter_ranks())
+
         def measurement(wer):
             return WerMeasurement(
                 workload="a", trefp_s=1.173, vdd_v=units.MIN_VDD_V,
                 temperature_c=50.0, rank=rank, wer=wer,
             )
-        result = CampaignResult(config=CampaignConfig())
-        result.wer_measurements.append(measurement(1e-6))
+
+        result = CampaignResult(CampaignConfig(), [measurement(1e-6)])
+        with pytest.raises(TypeError):
+            result.wer_measurements[0] = measurement(9e-6)
+        with pytest.raises(AttributeError):
+            result.wer_measurements.append(measurement(9e-6))
+        with pytest.raises(FrozenInstanceError):
+            result.wer_measurements[0].wer = 9e-6
+        with pytest.raises(AttributeError):
+            result.wer_measurements = [measurement(9e-6)]
+        with pytest.raises(ValueError):
+            result.wer_columns().rows["wer"][0] = 9e-6
         assert result.wer_by_workload(1.173, 50.0) == {"a": 1e-6}
-        # Wholesale replacement with an equal-length list is detected ...
-        result.wer_measurements = [measurement(5e-6)]
-        assert result.wer_by_workload(1.173, 50.0) == {"a": 5e-6}
-        # ... while in-place record replacement needs explicit invalidation.
-        result.wer_measurements[0] = measurement(9e-6)
-        result.invalidate_wer_columns()
-        assert result.wer_by_workload(1.173, 50.0) == {"a": 9e-6}
+        assert result.wer_measurements == (measurement(1e-6),)
+
+
+#: Hand records and grid blocks the no-staleness property interleaves.
+_RANKS = tuple(RankLocation(dimm, rank) for dimm in range(4) for rank in range(2))
+_POINTS = tuple(
+    OperatingPoint.relaxed(trefp, temperature)
+    for trefp in (1.173, 2.283) for temperature in (50.0, 60.0)
+)
+_hand_records = st.lists(
+    st.builds(
+        WerMeasurement,
+        workload=st.sampled_from(("a", "b", "c")),
+        trefp_s=st.sampled_from((1.173, 2.283)),
+        vdd_v=st.just(units.MIN_VDD_V),
+        temperature_c=st.sampled_from((50.0, 60.0)),
+        rank=st.sampled_from(_RANKS),
+        wer=st.floats(min_value=0.0, max_value=1e-3),
+    ),
+    max_size=6,
+).map(lambda records: ("records", records))
+_grid_blocks = st.tuples(
+    st.just("grid"),
+    st.sampled_from(("a", "b", "d")),
+    st.lists(st.sampled_from(_POINTS), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=2),
+    st.permutations(_RANKS).flatmap(
+        lambda ranks: st.integers(1, len(ranks)).map(lambda n: tuple(ranks[:n]))
+    ),
+    st.integers(min_value=0, max_value=2 ** 16),
+)
+
+
+class TestNoStaleRecord:
+    """Any interleaving of appends leaves every view equal to the records."""
+
+    @given(steps=st.lists(st.one_of(_hand_records, _grid_blocks), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_views_track_any_interleaving_of_appends(self, steps):
+        result = CampaignResult(config=CampaignConfig())
+        expected = []
+        for step in steps:
+            if step[0] == "records":
+                records = step[1]
+                result.add_wer_measurements(records)
+                expected.extend(records)
+            else:
+                _, workload, ops, repetitions, ranks, seed = step
+                wer = np.random.default_rng(seed).random(
+                    (len(ops), repetitions, len(ranks))
+                ) * 1e-5
+                result.extend_wer_columns(
+                    [WerColumnStore.from_grid(workload, ops, wer, ranks)]
+                )
+                expected.extend(
+                    WerMeasurement(
+                        workload=workload, trefp_s=op.trefp_s, vdd_v=op.vdd_v,
+                        temperature_c=op.temperature_c, rank=rank,
+                        wer=float(wer[p, k, r]),
+                    )
+                    for p, op in enumerate(ops)
+                    for k in range(repetitions)
+                    for r, rank in enumerate(ranks)
+                )
+            # Read after every step so a cached view must be reset.
+            assert result.wer_measurements == tuple(expected)
+            assert result.num_wer_measurements == len(expected)
+            fresh = WerColumnStore(expected)
+            for trefp, temperature in {
+                (m.trefp_s, m.temperature_c) for m in expected
+            }:
+                assert result.wer_by_workload(trefp, temperature) == (
+                    fresh.mean_wer_by_workload(trefp, temperature)
+                )
+                assert result.wer_by_rank(trefp, temperature) == (
+                    fresh.mean_wer_by_workload_rank(trefp, temperature)
+                )
 
 
 class TestEmptyPointContract:

@@ -220,11 +220,13 @@ class TestSpreadAggregations:
     @staticmethod
     def _result(workload_wers):
         result = CampaignResult(config=CampaignConfig())
-        for workload, wer in workload_wers:
-            result.wer_measurements.append(WerMeasurement(
+        result.add_wer_measurements(
+            WerMeasurement(
                 workload=workload, trefp_s=0.618, vdd_v=units.MIN_VDD_V,
                 temperature_c=50.0, rank=RankLocation(0, 0), wer=wer,
-            ))
+            )
+            for workload, wer in workload_wers
+        )
         return result
 
     def test_workload_spread_ratio(self):

@@ -2,15 +2,18 @@
 
 ``build_wer_dataset`` / ``build_pue_dataset`` stream a campaign's
 columnar store straight into a :class:`ColumnarDataset`; the pre-columnar
-per-``Sample`` implementations live on in ``repro.core.reference`` as the
-independent reference.  Every matrix comparison in this file is exact
-(``tobytes()`` on floats) — that is the columnar-vs-per-sample API
-contract, mirroring the grid engine's scalar-vs-batch contract.
+per-``Sample`` builders live on in ``tests/oracles/core.py`` as the
+independent oracle, and ``reference_matrices`` stacks their
+``input_row``s one sample at a time.  Every matrix comparison in this
+file is exact (``tobytes()`` on floats) — that is the columnar-vs-per-
+sample API contract, mirroring the grid engine's scalar-vs-batch
+contract.
 
 Also pinned here: the dataset error paths (missing profiles list every
 absent workload, empty campaigns raise for both builders, rank-less
-datasets raise from ``ranks()``) and mutation semantics of the lazily
-materialized sample view.
+datasets raise from ``ranks()``) and that a dataset is one read-only
+columnar record — hand-built samples are packed once, and neither the
+``samples`` view nor the columns can be edited.
 """
 
 import numpy as np
@@ -18,19 +21,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from repro.characterization.campaign import CampaignConfig, CampaignResult
-from repro.core.dataset import ErrorDataset, build_pue_dataset, build_wer_dataset
+from repro.core.dataset import (
+    ColumnarDataset,
+    ErrorDataset,
+    Sample,
+    build_pue_dataset,
+    build_wer_dataset,
+)
 from repro.core.features import INPUT_SET_1, INPUT_SET_2, INPUT_SET_3
-from repro.core.reference import (
+from repro.dram.operating import OperatingPoint
+from repro.errors import DataError
+from tests.oracles.core import (
     reference_build_pue_dataset,
     reference_build_wer_dataset,
+    reference_matrices,
 )
-from repro.errors import DataError
 
 
 def _assert_identical_matrices(columnar, reference, feature_set):
+    """``columnar`` is an ErrorDataset, ``reference`` a Sample list."""
     Xc, yc, gc = columnar.matrices(feature_set)
-    Xr, yr, gr = reference.matrices(feature_set)
+    Xr, yr, gr = reference_matrices(reference, feature_set)
     assert Xc.dtype == Xr.dtype and Xc.shape == Xr.shape
     assert Xc.tobytes() == Xr.tobytes()
     assert yc.tobytes() == yr.tobytes()
@@ -55,29 +69,42 @@ class TestColumnarEquivalence:
                                                   small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        assert columnar.samples == reference.samples
+        assert columnar.samples == tuple(reference)
         pue = build_pue_dataset(small_campaign, small_profiles)
-        assert pue.samples == reference_build_pue_dataset(
+        assert pue.samples == tuple(reference_build_pue_dataset(
             small_campaign, small_profiles
-        ).samples
+        ))
 
     def test_group_accessors_match(self, small_campaign, small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        assert columnar.workloads() == reference.workloads()
-        assert columnar.ranks() == reference.ranks()
-        assert columnar.targets_by_workload() == reference.targets_by_workload()
+        assert columnar.workloads() == sorted({s.workload for s in reference})
+        assert columnar.ranks() == sorted({s.rank for s in reference})
+        targets = {}
+        for sample in reference:
+            targets.setdefault(sample.workload, []).append(sample.target)
+        assert columnar.targets_by_workload() == targets
 
     def test_filter_rank_stays_columnar_and_matches(self, small_campaign,
                                                     small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        for rank in reference.ranks()[:3]:
+        for rank in columnar.ranks()[:3]:
             filtered = columnar.filter_rank(rank)
-            assert filtered.columns() is not None
+            assert isinstance(filtered.columns(), ColumnarDataset)
             _assert_identical_matrices(
-                filtered, reference.filter_rank(rank), INPUT_SET_1
+                filtered, [s for s in reference if s.rank == rank], INPUT_SET_1
             )
+
+    def test_hand_built_dataset_matches_reference(self, small_campaign,
+                                                  small_profiles):
+        """A Sample list is packed once into the same columns."""
+        reference = reference_build_wer_dataset(small_campaign, small_profiles)
+        hand_built = ErrorDataset(samples=reference)
+        for feature_set in (INPUT_SET_1, INPUT_SET_2):
+            _assert_identical_matrices(hand_built, reference, feature_set)
+        assert hand_built.samples == tuple(reference)
+        assert hand_built.ranks() == sorted({s.rank for s in reference})
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 16),
            keep=st.floats(min_value=0.05, max_value=1.0))
@@ -96,7 +123,7 @@ class TestColumnarEquivalence:
         columnar = build_wer_dataset(campaign, small_profiles)
         reference = reference_build_wer_dataset(campaign, small_profiles)
         _assert_identical_matrices(columnar, reference, INPUT_SET_1)
-        assert columnar.samples == reference.samples
+        assert columnar.samples == tuple(reference)
 
 
 class TestDatasetErrorPaths:
@@ -142,24 +169,38 @@ class TestDatasetErrorPaths:
 
 
 class TestMutationSemantics:
-    def test_add_drops_columnar_backing(self, small_campaign, small_profiles):
-        dataset = build_wer_dataset(small_campaign, small_profiles)
-        assert dataset.columns() is not None
-        sample = dataset.samples[0]
-        dataset.add(sample)
-        assert dataset.columns() is None
-        assert len(dataset) == len(small_campaign.wer_measurements) + 1
-        # The per-sample fallback serves matrices after mutation.
-        X, y, groups = dataset.matrices(INPUT_SET_1)
-        assert X.shape[0] == len(dataset)
+    """A dataset is one read-only columnar record: nothing can go stale."""
 
-    def test_direct_append_to_samples_detected_by_length(
-        self, small_campaign, small_profiles
-    ):
+    def test_samples_view_is_read_only(self, small_campaign, small_profiles):
         dataset = build_wer_dataset(small_campaign, small_profiles)
-        dataset.samples.append(dataset.samples[0])
-        assert dataset.columns() is None
-        assert dataset.matrices(INPUT_SET_1)[0].shape[0] == len(dataset)
+        X_before, y_before, _ = dataset.matrices(INPUT_SET_1)
+        sample = dataset.samples[0]
+        with pytest.raises(TypeError):
+            dataset.samples[0] = replace(sample, target=5.0)
+        with pytest.raises(AttributeError):
+            dataset.samples.append(sample)
+        with pytest.raises(AttributeError):
+            sample.target = 5.0
+        X_after, y_after, _ = dataset.matrices(INPUT_SET_1)
+        assert X_after.tobytes() == X_before.tobytes()
+        assert y_after.tobytes() == y_before.tobytes()
+        assert dataset.samples[0] == sample
+
+    def test_columns_are_read_only(self, small_campaign, small_profiles):
+        columns = build_wer_dataset(small_campaign, small_profiles).columns()
+        for array in (columns.targets, columns.operating_columns,
+                      columns.workload_codes, columns.rank_codes):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_conflicting_program_features_raise(self):
+        op = OperatingPoint(trefp_s=1.173, vdd_v=1.428, temperature_c=50.0)
+        first = Sample(workload="w", operating_point=op, target=1.0,
+                       program_features={"f": 1.0})
+        equal = replace(first, program_features={"f": 1.0})
+        ErrorDataset(samples=[first, equal])  # equal values are fine
+        with pytest.raises(DataError, match="'w'"):
+            ErrorDataset(samples=[first, replace(first, program_features={"f": 2.0})])
 
     def test_samples_and_columns_are_mutually_exclusive(
         self, small_campaign, small_profiles

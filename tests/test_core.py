@@ -220,19 +220,19 @@ class TestCorrelationStudy:
         }
 
         def build(seed):
-            dataset = ErrorDataset()
             r = np.random.default_rng(seed)
-            for trefp in (1.173, 2.283):
-                for workload in workloads:
-                    dataset.add(Sample(
-                        workload=workload,
-                        operating_point=OperatingPoint(
-                            trefp_s=trefp, vdd_v=1.45, temperature_c=50.0
-                        ),
-                        target=float(abs(r.normal()) + 0.1),
-                        program_features=features[workload],
-                    ))
-            return dataset
+            return ErrorDataset([
+                Sample(
+                    workload=workload,
+                    operating_point=OperatingPoint(
+                        trefp_s=trefp, vdd_v=1.45, temperature_c=50.0
+                    ),
+                    target=float(abs(r.normal()) + 0.1),
+                    program_features=features[workload],
+                )
+                for trefp in (1.173, 2.283)
+                for workload in workloads
+            ])
 
         study = run_correlation_study(
             build(1), build(2), feature_names=["f_const", "f_varying"]
@@ -242,23 +242,29 @@ class TestCorrelationStudy:
         assert -1.0 <= study.rs_wer("f_varying") <= 1.0
         del rng
 
+    def test_empty_dataset_raises_data_error(self, small_pue_dataset):
+        from repro.core.dataset import ErrorDataset
+
+        with pytest.raises(DataError, match="empty"):
+            run_correlation_study(ErrorDataset(), small_pue_dataset)
+
     def test_constant_targets_within_groups_yield_zero_not_nan(self):
         # Constant per-group targets are the other zero-variance direction.
         from repro.core.dataset import ErrorDataset, Sample
 
         def build():
-            dataset = ErrorDataset()
-            for trefp in (1.173, 2.283):
-                for i in range(4):
-                    dataset.add(Sample(
-                        workload=f"w{i}",
-                        operating_point=OperatingPoint(
-                            trefp_s=trefp, vdd_v=1.45, temperature_c=50.0
-                        ),
-                        target=0.25,
-                        program_features={"f": float(i)},
-                    ))
-            return dataset
+            return ErrorDataset([
+                Sample(
+                    workload=f"w{i}",
+                    operating_point=OperatingPoint(
+                        trefp_s=trefp, vdd_v=1.45, temperature_c=50.0
+                    ),
+                    target=0.25,
+                    program_features={"f": float(i)},
+                )
+                for trefp in (1.173, 2.283)
+                for i in range(4)
+            ])
 
         study = run_correlation_study(build(), build(), feature_names=["f"])
         assert study.rs_wer("f") == 0.0

@@ -1,8 +1,8 @@
 """Equivalence harness for the bit-packed SECDED engine and streamed arrays.
 
-The packed uint64-lane codec (`SecdedCode(packed=True)`, the default) is
-~an order of magnitude faster than the original byte-per-bit engine; the
-byte-per-bit path is retained as the in-repo oracle and these tests pin
+The packed uint64-lane codec (`SecdedCode`) is ~an order of magnitude
+faster than the original byte-per-bit engine; the byte-per-bit path is
+retained as the test oracle (`tests/oracles/ecc.py`) and these tests pin
 the two bit-identical — data bits, error codes, corrected-bit indices —
 so the fast path can never silently drift.  The second half pins the
 streamed `CellArraySimulator`: block-size invariance, the word-index
@@ -31,9 +31,10 @@ from repro.dram.ecc import (
 from repro.dram.geometry import DramGeometry, small_geometry
 from repro.dram.retention import bit_failure_probability
 from repro.errors import ConfigurationError
+from tests.oracles.ecc import ReferenceSecdedCode
 
-PACKED = SecdedCode(packed=True)
-ORACLE = SecdedCode(packed=False)
+PACKED = SecdedCode()
+ORACLE = ReferenceSecdedCode()
 
 
 # --------------------------------------------------------------------------

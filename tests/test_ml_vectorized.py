@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.correlation import run_correlation_study
-from repro.core.reference import reference_run_correlation_study
 from repro.ml import distances
 from repro.ml.distances import (
     chebyshev_distances,
@@ -24,6 +23,7 @@ from repro.ml.distances import (
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsClassifier, KNeighborsRegressor, stable_kneighbors
 from repro.ml.tree import DecisionTreeRegressor
+from tests.oracles.core import reference_run_correlation_study
 from tests.oracles.ml import (
     ReferenceDecisionTreeRegressor,
     ReferenceKNeighborsRegressor,

@@ -230,7 +230,8 @@ class TestCli:
 def test_repository_is_lint_clean():
     """The acceptance gate: the repo's own code passes its own linter."""
     result = lint_paths(
-        [str(REPO_ROOT / part) for part in ("src", "tests", "benchmarks")]
+        [str(REPO_ROOT / part)
+         for part in ("src", "tests", "benchmarks", "examples")]
     )
     assert not result.errors
     assert result.violations == [], "\n".join(

@@ -8,7 +8,7 @@ Three contracts are pinned here:
   bundles raise :class:`~repro.errors.RegistryError`.
 * **The batched API never changes numbers.**  ``predict`` is a wrapper
   over ``predict_batch``; ``predict_grid`` matches the per-point
-  reference (:func:`~repro.core.reference.reference_predict_grid`) to a
+  reference (``reference_predict_grid`` in ``tests/oracles/core.py``) to a
   documented 1e-9 relative tolerance (BLAS batch shape may differ in
   the last ulps).
 * **The facade is transparent.**  Cached and batched
@@ -19,14 +19,12 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core import WorkloadAwarePredictor
-from repro.core.reference import reference_predict_grid
 from repro.dram.operating import OperatingPoint
 from repro.errors import ConfigurationError, NotFittedError, RegistryError
 from repro.ml.forest import RandomForestRegressor
@@ -50,6 +48,7 @@ from repro.serving import (
     save_estimator,
     save_model,
 )
+from tests.oracles.core import reference_predict_grid
 
 WORKLOADS = ("memcached", "kmeans", "bfs")
 TREFPS = (1.173, 2.283)
@@ -287,14 +286,12 @@ def test_predict_grid_validates_axes(predictor):
         predictor.predict_grid(WORKLOADS, (-1.0,), TEMPERATURES)
 
 
-def test_deprecated_op_keyword_warns_once_per_call(predictor, caplog):
-    with caplog.at_level(logging.WARNING, logger="repro.core.predictor"):
-        via_shim = predictor.predict("memcached", op=OP)
-    assert "deprecated" in caplog.text
-    assert via_shim.wer_by_rank == predictor.predict("memcached", OP).wer_by_rank
-    with pytest.raises(ConfigurationError, match="both"):
-        predictor.predict("memcached", OP, op=OP)
-    with pytest.raises(ConfigurationError, match="requires an operating_point"):
+def test_removed_op_keyword_raises_type_error(predictor):
+    with pytest.raises(TypeError):
+        predictor.predict("memcached", op=OP)
+    with pytest.raises(TypeError):
+        predictor.predict_wer("memcached", op=OP)
+    with pytest.raises(TypeError):
         predictor.predict("memcached")
 
 
