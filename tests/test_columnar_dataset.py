@@ -178,13 +178,35 @@ class TestMutationSemantics:
         with pytest.raises(TypeError):
             dataset.samples[0] = replace(sample, target=5.0)
         with pytest.raises(AttributeError):
-            dataset.samples.append(sample)
-        with pytest.raises(AttributeError):
             sample.target = 5.0
         X_after, y_after, _ = dataset.matrices(INPUT_SET_1)
         assert X_after.tobytes() == X_before.tobytes()
         assert y_after.tobytes() == y_before.tobytes()
         assert dataset.samples[0] == sample
+
+    def test_add_drops_columnar_backing(self, small_campaign, small_profiles):
+        # ``add`` is gone: nothing can drop the columnar backing, and the
+        # matrices keep one row per sample.
+        dataset = build_wer_dataset(small_campaign, small_profiles)
+        columns = dataset.columns()
+        assert not hasattr(dataset, "add")
+        assert dataset.columns() is columns
+        assert len(dataset) == len(small_campaign.wer_measurements)
+        X, y, groups = dataset.matrices(INPUT_SET_1)
+        assert X.shape[0] == len(dataset)
+
+    def test_direct_append_to_samples_detected_by_length(
+        self, small_campaign, small_profiles
+    ):
+        # A direct append to ``samples`` raises instead of needing a
+        # length check: the view is a tuple and the record is unchanged.
+        dataset = build_wer_dataset(small_campaign, small_profiles)
+        n = len(dataset)
+        with pytest.raises(AttributeError):
+            dataset.samples.append(dataset.samples[0])
+        assert len(dataset) == len(dataset.samples) == n
+        assert dataset.columns() is not None
+        assert dataset.matrices(INPUT_SET_1)[0].shape[0] == n
 
     def test_columns_are_read_only(self, small_campaign, small_profiles):
         columns = build_wer_dataset(small_campaign, small_profiles).columns()
